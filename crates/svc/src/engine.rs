@@ -191,6 +191,13 @@ impl Job {
     }
 }
 
+/// Decodes a `POST /v1/schedule` or `/v1/schedule/delta` body, or
+/// returns the [`Submission::BadRequest`] its 400 answer reports.
+pub(crate) fn decode_body<T: Deserialize>(body: &str) -> Result<T, Submission> {
+    serde_json::from_str(body)
+        .map_err(|e| Submission::BadRequest(format!("invalid request body: {e}")))
+}
+
 /// Outcome of admitting one `POST /v1/schedule` body.
 pub enum Submission {
     /// The body was not valid JSON for a [`ScheduleRequest`] → 400.
@@ -729,22 +736,27 @@ impl Engine {
     /// Admits one `POST /v1/schedule` body.
     #[must_use]
     pub fn submit(&self, body: &str) -> Submission {
-        self.submit_traced(body, &TraceCtx::untraced())
+        match decode_body(body) {
+            Ok(request) => self.submit_traced(body, &request, &TraceCtx::untraced()),
+            Err(bad) => bad,
+        }
     }
 
-    /// [`submit`](Engine::submit) with the request's trace context, so
-    /// peer fills and worker-side spans attach to the caller's trace.
+    /// [`submit`](Engine::submit) for a body its caller already decoded
+    /// into `request`, with the request's trace context, so peer fills
+    /// and worker-side spans attach to the caller's trace. `body` is
+    /// kept verbatim for the write-ahead journal.
     #[must_use]
-    pub fn submit_traced(&self, body: &str, trace: &TraceCtx) -> Submission {
-        let request: ScheduleRequest = match serde_json::from_str(body) {
-            Ok(r) => r,
-            Err(e) => return Submission::BadRequest(format!("invalid request body: {e}")),
-        };
-
+    pub fn submit_traced(
+        &self,
+        body: &str,
+        request: &ScheduleRequest,
+        trace: &TraceCtx,
+    ) -> Submission {
         // Resolve every spec *before* touching cache or queue, so a
         // request that can never schedule is rejected up front and is
         // never admitted, cached or coalesced.
-        let (work, key) = match self.resolve(&request) {
+        let (work, key) = match self.resolve(request) {
             Ok(resolved) => resolved,
             Err(e) => return Submission::BadSpec(e),
         };
@@ -757,18 +769,22 @@ impl Engine {
     /// `(prior request hash, canonical edits)`.
     #[must_use]
     pub fn submit_delta(&self, body: &str) -> Submission {
-        self.submit_delta_traced(body, &TraceCtx::untraced())
+        match decode_body(body) {
+            Ok(request) => self.submit_delta_traced(body, &request, &TraceCtx::untraced()),
+            Err(bad) => bad,
+        }
     }
 
-    /// [`submit_delta`](Engine::submit_delta) with the request's trace
-    /// context.
+    /// [`submit_delta`](Engine::submit_delta) for an already decoded
+    /// body, with the request's trace context.
     #[must_use]
-    pub fn submit_delta_traced(&self, body: &str, trace: &TraceCtx) -> Submission {
-        let request: DeltaRequest = match serde_json::from_str(body) {
-            Ok(r) => r,
-            Err(e) => return Submission::BadRequest(format!("invalid request body: {e}")),
-        };
-        let (work, key) = match self.resolve_delta(&request) {
+    pub fn submit_delta_traced(
+        &self,
+        body: &str,
+        request: &DeltaRequest,
+        trace: &TraceCtx,
+    ) -> Submission {
+        let (work, key) = match self.resolve_delta(request) {
             Ok(resolved) => resolved,
             Err(e) => return Submission::BadSpec(e),
         };

@@ -28,9 +28,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::api::error_body;
+use crate::api::{error_body, DeltaRequest, ScheduleRequest};
 use crate::cluster::ClusterConfig;
-use crate::engine::{Engine, EngineConfig, Job, JobPhase, Submission};
+use crate::engine::{decode_body, Engine, EngineConfig, Job, JobPhase, Submission};
 use crate::http::{read_request, write_response, ReadError, Request, Response};
 use crate::obs::{span_us, TraceCtx};
 
@@ -627,20 +627,28 @@ fn submission_route(
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ready(Response::json(400, error_body("request body is not UTF-8")));
     };
-    // `mode` only matters for fresh/joined jobs; a cached answer is
-    // final either way. `stats` is presentation-only: it selects how
-    // the stored output is rendered, never what is stored.
-    let (wants_async, wants_stats) = match kind {
-        SubmitKind::Schedule => serde_json::from_str::<crate::api::ScheduleRequest>(body)
-            .map(|r| (r.is_async(), r.wants_stats()))
-            .unwrap_or((false, false)),
-        SubmitKind::Delta => serde_json::from_str::<crate::api::DeltaRequest>(body)
-            .map(|r| (r.is_async(), r.wants_stats()))
-            .unwrap_or((false, false)),
-    };
-    let submission = match kind {
-        SubmitKind::Schedule => engine.submit_traced(body, trace),
-        SubmitKind::Delta => engine.submit_delta_traced(body, trace),
+    // The body is decoded once, here, and the engine admits the
+    // decoded request. `mode` only matters for fresh/joined jobs; a
+    // cached answer is final either way. `stats` is presentation-only:
+    // it selects how the stored output is rendered, never what is
+    // stored.
+    let (wants_async, wants_stats, submission) = match kind {
+        SubmitKind::Schedule => match decode_body::<ScheduleRequest>(body) {
+            Ok(r) => (
+                r.is_async(),
+                r.wants_stats(),
+                engine.submit_traced(body, &r, trace),
+            ),
+            Err(bad) => (false, false, bad),
+        },
+        SubmitKind::Delta => match decode_body::<DeltaRequest>(body) {
+            Ok(r) => (
+                r.is_async(),
+                r.wants_stats(),
+                engine.submit_delta_traced(body, &r, trace),
+            ),
+            Err(bad) => (false, false, bad),
+        },
     };
     match submission {
         Submission::BadRequest(msg) => ready(Response::json(400, error_body(&msg))),

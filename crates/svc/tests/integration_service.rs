@@ -107,6 +107,62 @@ fn malformed_and_unroutable_requests_classify() {
     server.shutdown();
 }
 
+/// The exact 400/422 bytes both submission endpoints answer: the body
+/// is decoded once, on the HTTP event loop, and the engine admits the
+/// decoded request, so these messages must not depend on who decodes.
+#[test]
+fn submission_error_bodies_are_byte_exact() {
+    let server = Server::start(config()).expect("starts");
+    let mut c = client(&server);
+    let ring = r#"{"graph":{},"platform":"ring:9x9"}"#;
+    let not_json = r#"{"error":"invalid request body: unexpected keyword at byte 0"}"#;
+    let bad_ring = r#"{"error":"unknown topology `ring`"}"#;
+    let cases = [
+        ("/v1/schedule", "this is not json".to_owned(), 400, not_json),
+        (
+            "/v1/schedule",
+            r#"{"platform":"mesh:2x2"}"#.to_owned(),
+            400,
+            r#"{"error":"invalid request body: missing field `graph` in ScheduleRequest"}"#,
+        ),
+        (
+            "/v1/schedule",
+            r#"{"graph":{},"platform":7}"#.to_owned(),
+            400,
+            r#"{"error":"invalid request body: expected string, found number"}"#,
+        ),
+        ("/v1/schedule", ring.to_owned(), 422, bad_ring),
+        (
+            "/v1/schedule/delta",
+            "this is not json".to_owned(),
+            400,
+            not_json,
+        ),
+        (
+            "/v1/schedule/delta",
+            r#"{"prior":{}}"#.to_owned(),
+            400,
+            r#"{"error":"invalid request body: missing field `edits` in DeltaRequest"}"#,
+        ),
+        (
+            "/v1/schedule/delta",
+            format!(r#"{{"prior":{ring},"edits":[]}}"#),
+            422,
+            bad_ring,
+        ),
+    ];
+    for (path, body, status, want) in cases {
+        let resp = c.post(path, &body).expect("answers");
+        assert_eq!(
+            (resp.status, resp.body.as_str()),
+            (status, want),
+            "{path} {body}"
+        );
+    }
+
+    server.shutdown();
+}
+
 #[test]
 fn cache_hit_returns_byte_identical_bodies() {
     let server = Server::start(config()).expect("starts");
