@@ -74,20 +74,6 @@ fn bench_repair_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_thread_scaling(c: &mut Criterion) {
-    let platform = platforms::mesh_4x4();
-    let graph = graphs_of_size(250, &platform);
-    let mut group = c.benchmark_group("eas_thread_scaling_250_tasks");
-    group.sample_size(10);
-    for &threads in &[1usize, 2, 4] {
-        let scheduler = EasScheduler::new(EasConfig::default().with_threads(threads));
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &graph, |b, g| {
-            b.iter(|| black_box(scheduler.schedule(g, &platform).expect("schedules")));
-        });
-    }
-    group.finish();
-}
-
 fn bench_budgeting(c: &mut Criterion) {
     let platform = platforms::mesh_4x4();
     let graph = graphs_of_size(500, &platform);
@@ -107,7 +93,6 @@ criterion_group!(
     bench_scaling,
     bench_schedulers_at_paper_scale,
     bench_repair_overhead,
-    bench_thread_scaling,
     bench_budgeting
 );
 criterion_main!(benches);

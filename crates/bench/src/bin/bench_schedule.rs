@@ -1,13 +1,13 @@
-//! Scheduler performance baseline for CI: runs full EAS serially and
-//! with a worker pool on the same graphs, checks the results are
-//! byte-identical, and writes the wall-clock numbers to
-//! `BENCH_schedule.json` (first argument overrides the path).
+//! Serial EAS timing baseline for CI: schedules category-I TGFF graphs
+//! of 64, 128 and 256 tasks on `mesh:4x4` with the full EAS pipeline,
+//! checks every timed run yields the same outcome, and writes the
+//! best-of-three wall-clock times to `BENCH_schedule.json` (first
+//! argument overrides the path).
 //!
-//! The speedup figures are *measured on whatever machine runs this*, and
-//! `host_cpus` is recorded alongside them. On a single-core host a
-//! 4-thread run cannot be faster than serial, so the speedup claim is
-//! **suppressed entirely** (`null` in the artifact, `n/a` in the table)
-//! rather than recorded as a misleading ~1.0 measurement.
+//! EAS evaluates its F(i,k) trials and GTM candidates serially, so no
+//! thread count varies here. The artifact records `host_cpus` and the
+//! build `profile` beside the times: a time means little without the
+//! machine and build that produced it.
 
 use std::time::Instant;
 
@@ -17,9 +17,7 @@ use noc_bench::platforms;
 use noc_ctg::prelude::*;
 use noc_eas::prelude::*;
 
-/// Thread counts compared against the serial run.
-const PARALLEL_THREADS: usize = 4;
-/// Timing runs per configuration; the minimum is reported.
+/// Timing runs per graph; the minimum is reported.
 const RUNS: usize = 3;
 
 #[derive(Debug, Serialize)]
@@ -28,12 +26,6 @@ struct Case {
     tasks: usize,
     edges: usize,
     serial_s: f64,
-    parallel_s: f64,
-    parallel_threads: usize,
-    /// `None` on hosts where a parallel speedup is unmeasurable
-    /// (a single hardware thread): no claim beats a bogus one.
-    speedup: Option<f64>,
-    identical: bool,
     energy_nj: f64,
     deadline_misses: usize,
 }
@@ -42,28 +34,30 @@ struct Case {
 struct Baseline {
     bench: String,
     host_cpus: usize,
-    parallel_threads: usize,
-    /// `false` on single-hardware-thread hosts, where every speedup row
-    /// is suppressed: consumers must not read timing ratios from this
-    /// artifact when the host could not demonstrate parallelism.
-    speedup_valid: bool,
+    /// `release` or `debug`: the build the times come from.
+    profile: String,
+    runs: usize,
     cases: Vec<Case>,
 }
 
+/// Best-of-[`RUNS`] wall-clock seconds; panics if two runs disagree.
 fn timed_schedule(
-    scheduler: &EasScheduler,
     graph: &noc_ctg::TaskGraph,
     platform: &noc_platform::Platform,
 ) -> (ScheduleOutcome, f64) {
+    let scheduler = EasScheduler::full();
     let mut best = f64::INFINITY;
-    let mut outcome = None;
+    let mut first: Option<ScheduleOutcome> = None;
     for _ in 0..RUNS {
         let t0 = Instant::now();
         let out = scheduler.schedule(graph, platform).expect("schedules");
         best = best.min(t0.elapsed().as_secs_f64());
-        outcome = Some(out);
+        match &first {
+            Some(f) => assert_eq!(f, &out, "EAS is not deterministic on {}", graph.name()),
+            None => first = Some(out),
+        }
     }
-    (outcome.expect("at least one run"), best)
+    (first.expect("at least one run"), best)
 }
 
 fn main() {
@@ -72,10 +66,17 @@ fn main() {
         .unwrap_or_else(|| "BENCH_schedule.json".to_owned());
     let platform = platforms::mesh_4x4();
     let host_cpus = noc_par::available_threads();
-    println!("== Scheduler perf baseline (host has {host_cpus} hardware threads) ==\n");
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     println!(
-        "{:<22} {:>6} {:>6} {:>10} {:>10} {:>8} {:>10}",
-        "graph", "tasks", "edges", "serial(s)", "par(s)", "speedup", "identical"
+        "== Serial EAS baseline ({profile} build, host has {host_cpus} hardware threads) ==\n"
+    );
+    println!(
+        "{:<22} {:>6} {:>6} {:>10}",
+        "graph", "tasks", "edges", "serial(s)"
     );
 
     let mut cases = Vec::new();
@@ -86,53 +87,29 @@ fn main() {
         let graph = TgffGenerator::new(cfg)
             .generate(&platform)
             .expect("generates");
-
-        let serial = EasScheduler::new(EasConfig::default());
-        let parallel = EasScheduler::new(EasConfig::default().with_threads(PARALLEL_THREADS));
-        let (serial_out, serial_s) = timed_schedule(&serial, &graph, &platform);
-        let (parallel_out, parallel_s) = timed_schedule(&parallel, &graph, &platform);
-
-        // Hard determinism gate: the parallel engine must reproduce the
-        // serial schedule bit for bit, including repair statistics.
-        let identical = serial_out == parallel_out;
-        assert!(
-            identical,
-            "parallel schedule diverged from serial on {}",
-            graph.name()
-        );
-
-        // A single-hardware-thread host cannot demonstrate a parallel
-        // speedup; suppress the claim instead of recording noise.
-        let speedup = (host_cpus > 1).then(|| serial_s / parallel_s);
+        let (outcome, serial_s) = timed_schedule(&graph, &platform);
         println!(
-            "{:<22} {:>6} {:>6} {:>10.3} {:>10.3} {:>8} {:>10}",
+            "{:<22} {:>6} {:>6} {:>10.4}",
             graph.name(),
             graph.task_count(),
             graph.edge_count(),
             serial_s,
-            parallel_s,
-            speedup.map_or_else(|| "n/a".to_owned(), |s| format!("{s:.2}")),
-            identical,
         );
         cases.push(Case {
             graph: graph.name().to_owned(),
             tasks: graph.task_count(),
             edges: graph.edge_count(),
             serial_s,
-            parallel_s,
-            parallel_threads: PARALLEL_THREADS,
-            speedup,
-            identical,
-            energy_nj: serial_out.stats.energy.total().as_nj(),
-            deadline_misses: serial_out.report.deadline_misses.len(),
+            energy_nj: outcome.stats.energy.total().as_nj(),
+            deadline_misses: outcome.report.deadline_misses.len(),
         });
     }
 
     let baseline = Baseline {
         bench: "schedule".to_owned(),
         host_cpus,
-        parallel_threads: PARALLEL_THREADS,
-        speedup_valid: host_cpus > 1,
+        profile: profile.to_owned(),
+        runs: RUNS,
         cases,
     };
     match serde_json::to_string_pretty(&baseline) {
@@ -147,16 +124,5 @@ fn main() {
             eprintln!("error: cannot serialize baseline: {e}");
             std::process::exit(1);
         }
-    }
-    if host_cpus == 1 {
-        println!(
-            "note: host has a single hardware thread; speedup claims are \
-             suppressed (recorded as null), not measured."
-        );
-    } else if host_cpus < PARALLEL_THREADS {
-        println!(
-            "note: host has fewer than {PARALLEL_THREADS} hardware threads; \
-             speedup figures are bounded by the hardware, not the engine."
-        );
     }
 }

@@ -116,7 +116,7 @@ fn store_prior_phase(
         serde_json::from_str(&resolved.body).expect("stored prior parses");
     let applied = apply_edits(graph, edits).expect("edits apply");
     let edited_platform = apply_platform_edits(platform, &applied.edits).expect("platform applies");
-    let repaired = repair_from(graph, &parsed.schedule, &edited_platform, &applied, 1)
+    let repaired = repair_from(graph, &parsed.schedule, &edited_platform, &applied)
         .expect("repairs from the disk-resolved prior");
     let resolve_s = t0.elapsed().as_secs_f64();
     let got = noc_svc::api::ScheduleResponse::from_outcome("eas", &repaired.outcome).to_json();
@@ -195,7 +195,7 @@ fn main() {
             let mut delta = None;
             for _ in 0..RUNS {
                 let t0 = Instant::now();
-                let out = repair_from(&graph, &prior.schedule, &edited_platform, &applied, 1)
+                let out = repair_from(&graph, &prior.schedule, &edited_platform, &applied)
                     .expect("repairs");
                 warm_samples.push(t0.elapsed().as_secs_f64());
                 delta = Some(out);
@@ -272,7 +272,7 @@ fn main() {
     let edited_platform =
         apply_platform_edits(&platform, &applied.edits).expect("platform applies");
     let ram_repair =
-        repair_from(&graph, &prior.schedule, &edited_platform, &applied, 1).expect("repairs");
+        repair_from(&graph, &prior.schedule, &edited_platform, &applied).expect("repairs");
     let want = noc_svc::api::ScheduleResponse::from_outcome("eas", &ram_repair.outcome).to_json();
     let store_prior = store_prior_phase(&graph, &platform, &prior, &edits, &want);
     println!(

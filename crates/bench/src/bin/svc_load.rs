@@ -1937,8 +1937,7 @@ fn delta_problem(
         .expect("prior schedules");
     let applied = apply_edits(&graph, &edits).expect("edits apply");
     let edited_platform = apply_platform_edits(platform, &applied.edits).expect("platform applies");
-    let delta =
-        repair_from(&graph, &prior.schedule, &edited_platform, &applied, 1).expect("repairs");
+    let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied).expect("repairs");
     let expected = noc_svc::api::DeltaResponse {
         warm_start: delta.warm_start,
         reason: delta.reason.to_owned(),
@@ -2245,7 +2244,7 @@ fn run_delta_verify(
                     .map_err(|e| e.to_string())?;
                 let applied = apply_edits(&graph, &edits)?;
                 let edited_platform = apply_platform_edits(&platform, &applied.edits)?;
-                let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied, 1)
+                let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied)
                     .map_err(|e| e.to_string())?;
                 let expected = noc_svc::api::DeltaResponse {
                     warm_start: delta.warm_start,

@@ -920,7 +920,7 @@ pub fn try_fault_sweep_study(
                 let faulted_platform = platforms::faulted_mesh(3, 3, fs).ok();
                 let planned = faulted_platform.as_ref().and_then(|fp| {
                     if *name == "eas" {
-                        repair_with_faults(&graph, fp, &outcome.schedule, 1)
+                        repair_with_faults(&graph, fp, &outcome.schedule)
                             .map(|(s, _)| s)
                             .or_else(|| scheduler.schedule(&graph, fp).ok().map(|o| o.schedule))
                     } else {

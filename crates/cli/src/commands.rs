@@ -48,15 +48,16 @@ USAGE:
       schedule, byte-identical across surfaces). The --out and --vcd
       artifacts are still written; --gantt/--links/--csv render into
       the replaced summary and are rejected alongside --json.
-      --threads fans trial evaluation out over N workers (0 = all
-      cores); the schedule is identical for every thread count.
+      --threads runs anneal's restart chains on N workers (0 = all
+      cores). EAS and the baselines always run serially; the schedule
+      is identical for every thread count.
       --faults masks permanently failed resources: dead PEs leave the
       candidate lists and routes detour around dead links
       (`tile:<id>`, `link:<a>-<b>` both ways, `link:<a>><b>` one way).
 
   noceas delta --graph prior_graph.json --schedule prior_schedule.json
                --platform mesh:4x4 --edits edits.json
-               [--faults SPEC] [--threads N] [--budget-ms MS]
+               [--faults SPEC] [--budget-ms MS]
                [--out schedule.json] [--json] [--explain]
       Repair a previously computed schedule after a set of typed edits
       (tasks added/removed, costs or deadlines changed, edge volumes
@@ -152,7 +153,8 @@ USAGE:
       of every decision: why each task got its PE (urgency vs. energy
       regret), where transfers stalled on link contention, and which
       repair moves recovered deadlines. --task N narrows the story to
-      one task index.
+      one task index. --threads only sets anneal's restart workers, as
+      for schedule.
 
   noceas dot --graph graph.json
       Print the task graph in Graphviz DOT syntax.
@@ -479,7 +481,6 @@ fn delta_cmd(args: &Args) -> Result<String, String> {
         fs::read_to_string(edits_path).map_err(|e| format!("cannot read {edits_path}: {e}"))?;
     let edits: Vec<Edit> =
         serde_json::from_str(&edits_text).map_err(|e| format!("cannot parse {edits_path}: {e}"))?;
-    let threads: usize = args.get_num("threads", 1)?;
     let budget = match args.get("budget-ms") {
         None => noc_eas::prelude::ComputeBudget::unlimited(),
         Some(text) => {
@@ -497,7 +498,6 @@ fn delta_cmd(args: &Args) -> Result<String, String> {
         &prior_schedule,
         &platform,
         &applied,
-        threads,
         &budget,
         &mut sink,
     )

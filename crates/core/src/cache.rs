@@ -13,7 +13,7 @@
 //! the trial depends on has changed, so the cached value is exactly what
 //! recomputation would produce. Hits are therefore invisible to the
 //! scheduling decisions — the schedule is byte-identical with the cache
-//! on or off, serial or parallel.
+//! on or off.
 
 use crate::placer::Trial;
 use crate::scheduler::CommModel;

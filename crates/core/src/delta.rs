@@ -25,9 +25,9 @@
 //!
 //! Determinism: rebasing is a pure function of (prior schedule, edits)
 //! — candidate destinations are ordered by `(energy, pe index)` exactly
-//! like GTM — and the repair that follows is the byte-deterministic
-//! parallel repair, so `repair_from` output is identical for every
-//! thread count.
+//! like GTM — and the repair that follows is the deterministic serial
+//! LTS/GTM search, so `repair_from` output is a pure function of its
+//! inputs.
 
 use serde::{Deserialize, Serialize};
 
@@ -45,7 +45,7 @@ use noc_schedule::{validate, Schedule, ScheduleStats};
 use crate::limit::ComputeBudget;
 use crate::repair::search_and_repair_traced;
 use crate::retime::{retime, OrderedAssignment};
-use crate::scheduler::{EasConfig, EasScheduler, ScheduleOutcome, Scheduler};
+use crate::scheduler::{EasScheduler, ScheduleOutcome, Scheduler};
 use crate::trace::{EventKind, NullSink, TraceSink, Tracer};
 use crate::SchedulerError;
 
@@ -640,14 +640,12 @@ pub fn repair_from(
     prior_schedule: &Schedule,
     platform: &Platform,
     applied: &AppliedEdits,
-    threads: usize,
 ) -> Result<DeltaOutcome, SchedulerError> {
     repair_from_traced(
         prior,
         prior_schedule,
         platform,
         applied,
-        threads,
         &ComputeBudget::unlimited(),
         &mut NullSink,
     )
@@ -677,7 +675,6 @@ pub fn repair_from_traced(
     prior_schedule: &Schedule,
     platform: &Platform,
     applied: &AppliedEdits,
-    threads: usize,
     budget: &ComputeBudget,
     sink: &mut dyn TraceSink,
 ) -> Result<DeltaOutcome, SchedulerError> {
@@ -707,7 +704,7 @@ pub fn repair_from_traced(
             let mut tracer = Tracer::new(sink);
             tracer.begin("repair");
             let (schedule, repair) =
-                search_and_repair_traced(graph, platform, rebased, threads, budget, &mut tracer)?;
+                search_and_repair_traced(graph, platform, rebased, budget, &mut tracer)?;
             tracer.poll("repair", budget);
             tracer.end("repair");
             tracer.begin("validate");
@@ -721,8 +718,7 @@ pub fn repair_from_traced(
                 repair,
             }
         }
-        Err(_) => EasScheduler::new(EasConfig::default().with_threads(threads))
-            .schedule_traced(graph, platform, budget, sink)?,
+        Err(_) => EasScheduler::full().schedule_traced(graph, platform, budget, sink)?,
     };
     Ok(DeltaOutcome {
         outcome,

@@ -16,204 +16,65 @@
 //!   (Step 2.4).
 
 use noc_ctg::task::TaskId;
-use noc_par::{effective_threads, RoundPool};
 use noc_platform::tile::PeId;
 use noc_platform::units::{Energy, Time};
-use noc_schedule::{ResourceTables, TaskPlacement};
 
 use crate::budget::SlackBudgets;
 use crate::limit::{ComputeBudget, Interrupt};
-use crate::placer::{trial_eval, Placer, Trial};
+use crate::placer::Placer;
 use crate::scheduler::CommModel;
 use crate::trace::{EventKind, Tracer};
 
 /// Runs level-based scheduling to completion, mutating `placer` until
-/// every task is placed. Serial trial evaluation (equivalent to
-/// [`level_schedule_threads`] with one thread).
+/// every task is placed.
 pub fn level_schedule(placer: &mut Placer<'_>, budgets: &SlackBudgets, model: CommModel) {
-    level_schedule_budgeted(placer, budgets, model, &ComputeBudget::unlimited())
-        .expect("unlimited budget never interrupts");
-}
-
-/// Like [`level_schedule`], but polls `budget` at every round boundary
-/// (one placement committed per round) and stops early when it runs
-/// out. On interrupt the placer holds only fully committed placements —
-/// discarding it leaves no observable state, and an uninterrupted rerun
-/// of the same problem is byte-identical.
-///
-/// # Errors
-///
-/// The [`Interrupt`] that fired.
-pub fn level_schedule_budgeted(
-    placer: &mut Placer<'_>,
-    budgets: &SlackBudgets,
-    model: CommModel,
-    budget: &ComputeBudget,
-) -> Result<(), Interrupt> {
-    level_schedule_serial_traced(placer, budgets, model, budget, &mut Tracer::off())
-}
-
-/// Serial trial evaluation with tracing: the shared backend of
-/// [`level_schedule_budgeted`] and the one-worker fast path of
-/// [`level_schedule_threads_budgeted`].
-fn level_schedule_serial_traced(
-    placer: &mut Placer<'_>,
-    budgets: &SlackBudgets,
-    model: CommModel,
-    budget: &ComputeBudget,
-    tracer: &mut Tracer<'_>,
-) -> Result<(), Interrupt> {
-    level_loop(placer, budgets, budget, tracer, |placer, jobs| {
-        jobs.iter()
-            .map(|&(t, k)| match placer.cache_probe(t, k, model) {
-                Some(trial) => (trial, true),
-                None => {
-                    let trial = placer.trial(t, k, model);
-                    placer.cache_store(t, k, model, trial);
-                    (trial, false)
-                }
-            })
-            .collect()
-    })
-}
-
-/// Read-only snapshot handed to the trial workers for one round: the
-/// placer's resource tables and placements as of the round start. Each
-/// worker clones the tables once and checkpoints/rolls back per trial,
-/// exactly like the serial path, so per-job results are bit-identical.
-struct TrialCtx {
-    tables: ResourceTables,
-    placements: Vec<Option<TaskPlacement>>,
-    model: CommModel,
-}
-
-/// Like [`level_schedule`], but fans the per-round `F(i,k)` matrix out
-/// over `threads` persistent workers (`0` = all hardware threads).
-///
-/// Determinism is a hard invariant: jobs are evaluated against an
-/// immutable snapshot of the round's tables, results are reduced in
-/// fixed `(task, PE)` index order, and the trial cache only returns
-/// values that recomputation would reproduce — so the resulting schedule
-/// is byte-identical to the serial one for every thread count.
-pub fn level_schedule_threads(
-    placer: &mut Placer<'_>,
-    budgets: &SlackBudgets,
-    model: CommModel,
-    threads: usize,
-) {
-    level_schedule_threads_budgeted(
+    level_schedule_traced(
         placer,
         budgets,
         model,
-        threads,
         &ComputeBudget::unlimited(),
         &mut Tracer::off(),
     )
     .expect("unlimited budget never interrupts");
 }
 
-/// Budgeted variant of [`level_schedule_threads`]: same determinism
-/// contract, plus a [`ComputeBudget`] poll at every round boundary and
-/// decision tracing into `tracer` (pass [`Tracer::off`] when untraced).
-///
-/// Trace events are emitted only from the round loop, after the
-/// deterministic `(task, PE)` reduction — workers never record — so the
-/// logical event stream is identical for every thread count.
-///
-/// # Errors
-///
-/// The [`Interrupt`] that fired.
-pub fn level_schedule_threads_budgeted(
+/// [`level_schedule`] under its pre-serial signature: `threads` is
+/// ignored, because F(i,k) trials are always evaluated serially (a
+/// per-round thread fan-out ran at 0.40–0.47× the serial speed on two
+/// CPUs). Called only by perf_ledger's replay, outside the workspace;
+/// it goes once that replay calls [`level_schedule`].
+pub fn level_schedule_threads(
     placer: &mut Placer<'_>,
     budgets: &SlackBudgets,
     model: CommModel,
     threads: usize,
+) {
+    let _ = threads;
+    level_schedule(placer, budgets, model);
+}
+
+/// Level scheduling with a [`ComputeBudget`] poll at every round
+/// boundary and decision tracing into `tracer` (pass [`Tracer::off`]
+/// when untraced).
+///
+/// Each round evaluates `F(i,k)` for the whole ready level, task-major
+/// in PE order, through the placer's epoch-validated trial cache. The
+/// budget is polled once per round, *before* any trial of the round
+/// runs: an interrupt can therefore only land between fully committed
+/// placements, never mid-commit. On interrupt the placer holds only
+/// committed placements — discarding it leaves no observable state, and
+/// an uninterrupted rerun of the same problem is byte-identical.
+///
+/// # Errors
+///
+/// The [`Interrupt`] that fired.
+pub(crate) fn level_schedule_traced(
+    placer: &mut Placer<'_>,
+    budgets: &SlackBudgets,
+    model: CommModel,
     budget: &ComputeBudget,
     tracer: &mut Tracer<'_>,
 ) -> Result<(), Interrupt> {
-    let workers = effective_threads(threads);
-    if workers <= 1 {
-        return level_schedule_serial_traced(placer, budgets, model, budget, tracer);
-    }
-    let graph = placer.graph();
-    let platform = placer.platform();
-    std::thread::scope(|scope| {
-        let pool: RoundPool<'_, TrialCtx, (TaskId, PeId), Trial> = RoundPool::new(
-            scope,
-            workers,
-            move |ctx: &TrialCtx, jobs: &[(TaskId, PeId)]| {
-                let mut tables = ctx.tables.clone();
-                jobs.iter()
-                    .map(|&(t, k)| {
-                        trial_eval(
-                            graph,
-                            platform,
-                            &mut tables,
-                            &ctx.placements,
-                            t,
-                            k,
-                            ctx.model,
-                        )
-                    })
-                    .collect()
-            },
-        );
-        level_loop(placer, budgets, budget, tracer, |placer, jobs| {
-            // Cache hits are resolved inline; only stale cells go to the
-            // pool, and their fresh values re-enter the cache. Hit/miss
-            // flags depend only on committed epochs, not on worker
-            // timing, so they are identical for every thread count.
-            let mut out: Vec<Option<(Trial, bool)>> = jobs
-                .iter()
-                .map(|&(t, k)| placer.cache_probe(t, k, model).map(|trial| (trial, true)))
-                .collect();
-            let missing: Vec<(TaskId, PeId)> = jobs
-                .iter()
-                .zip(&out)
-                .filter_map(|(&job, slot)| slot.is_none().then_some(job))
-                .collect();
-            if !missing.is_empty() {
-                let ctx = TrialCtx {
-                    tables: placer.tables().clone(),
-                    placements: placer.placements().to_vec(),
-                    model,
-                };
-                let fresh = pool.run_round(ctx, missing.clone());
-                let mut fresh = fresh.into_iter().zip(missing);
-                for slot in &mut out {
-                    if slot.is_none() {
-                        let (trial, (t, k)) = fresh.next().expect("one result per miss");
-                        placer.cache_store(t, k, model, trial);
-                        *slot = Some((trial, false));
-                    }
-                }
-            }
-            out.into_iter()
-                .map(|slot| slot.expect("every job filled"))
-                .collect()
-        })
-    })
-}
-
-/// The round loop shared by the serial and parallel entry points:
-/// `eval_round` must return one ([`Trial`], cache-hit) pair per
-/// `(task, PE)` job, in job order — everything downstream (urgency,
-/// energy regret, commits, trace emission) is common code, which is
-/// what makes the two paths bit-identical.
-///
-/// The budget is polled once per round, *before* any trial of the round
-/// runs: an interrupt can therefore only land between fully committed
-/// placements, never mid-commit.
-fn level_loop<F>(
-    placer: &mut Placer<'_>,
-    budgets: &SlackBudgets,
-    budget: &ComputeBudget,
-    tracer: &mut Tracer<'_>,
-    mut eval_round: F,
-) -> Result<(), Interrupt>
-where
-    F: FnMut(&mut Placer<'_>, &[(TaskId, PeId)]) -> Vec<(Trial, bool)>,
-{
     // Candidate PEs: dead ones (platform faults) are masked out.
     let pes: Vec<PeId> = placer.platform().alive_pes().collect();
     let mut round = 0usize;
@@ -229,26 +90,25 @@ where
         round += 1;
 
         // F(i,k) for the whole ready level, task-major in PE order.
-        let jobs: Vec<(TaskId, PeId)> = ready
-            .iter()
-            .flat_map(|&t| pes.iter().map(move |&k| (t, k)))
-            .collect();
-        let trials = eval_round(placer, &jobs);
-        debug_assert_eq!(trials.len(), jobs.len(), "one trial per job");
-        if tracer.on() {
-            for (&(t, k), &(trial, cache_hit)) in jobs.iter().zip(&trials) {
-                tracer.emit(EventKind::Trial {
-                    task: t.index(),
-                    pe: k.index(),
-                    start: trial.start.ticks(),
-                    finish: trial.finish.ticks(),
-                    cache_hit,
-                });
+        let mut trials = Vec::with_capacity(ready.len() * pes.len());
+        for &t in &ready {
+            for &k in &pes {
+                let (trial, cache_hit) = placer.cached_trial(t, k, model);
+                if tracer.on() {
+                    tracer.emit(EventKind::Trial {
+                        task: t.index(),
+                        pe: k.index(),
+                        start: trial.start.ticks(),
+                        finish: trial.finish.ticks(),
+                        cache_hit,
+                    });
+                }
+                trials.push(trial);
             }
         }
         let finishes: Vec<Vec<Time>> = trials
             .chunks(pes.len())
-            .map(|row| row.iter().map(|(t, _)| t.finish).collect())
+            .map(|row| row.iter().map(|t| t.finish).collect())
             .collect();
 
         // Urgency rule: schedule the most-over-budget task ASAP.
@@ -280,7 +140,7 @@ where
                     regret_nj: None,
                     feasible: finishes[i].iter().filter(|&&f| f <= bd).count(),
                     energy_nj: placer.energy_for(t, k).as_nj(),
-                    start: trials[i * pes.len() + j].0.start.ticks(),
+                    start: trials[i * pes.len() + j].start.ticks(),
                     finish: finishes[i][j].ticks(),
                 });
             }
@@ -350,7 +210,7 @@ where
                 regret_nj: delta.is_finite().then_some(delta),
                 feasible: finishes[i].iter().filter(|&&f| f <= bd).count(),
                 energy_nj: placer.energy_for(t, k).as_nj(),
-                start: trials[i * pes.len() + j].0.start.ticks(),
+                start: trials[i * pes.len() + j].start.ticks(),
                 finish: finishes[i][j].ticks(),
             });
         }
@@ -507,35 +367,6 @@ mod tests {
         // finish-optimal PE id.
         assert!(s.task(worse).pe.index() <= s.task(slightly).pe.index());
         assert_eq!(s.task(worse).start, Time::ZERO);
-    }
-
-    /// The parallel scheduler must commit the exact same placements as
-    /// the serial one for every thread count (hard determinism).
-    #[test]
-    fn parallel_level_schedule_is_bit_identical_to_serial() {
-        let p = Platform::builder()
-            .topology(TopologySpec::mesh(4, 4))
-            .pe_mix(PeCatalog::date04().cycle_mix())
-            .build()
-            .unwrap();
-        for seed in [0u64, 3, 9] {
-            let g = noc_ctg::prelude::TgffGenerator::new(noc_ctg::prelude::TgffConfig::small(seed))
-                .generate(&p)
-                .unwrap();
-            let budgets = SlackBudgets::compute(&g, WeightFunction::VarEnergyTimesVarTime);
-            let mut serial = Placer::new(&g, &p).unwrap();
-            level_schedule(&mut serial, &budgets, CommModel::Contention);
-            let reference = serial.into_schedule();
-            for threads in [2usize, 3, 8] {
-                let mut par = Placer::new(&g, &p).unwrap();
-                level_schedule_threads(&mut par, &budgets, CommModel::Contention, threads);
-                assert_eq!(
-                    par.into_schedule(),
-                    reference,
-                    "seed {seed} threads {threads}"
-                );
-            }
-        }
     }
 
     /// With zero heterogeneity and no deadlines, the energy rule ties on

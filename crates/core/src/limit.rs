@@ -83,7 +83,7 @@ impl CancelToken {
 /// A per-call compute allowance: wall-clock, steps, cancellation.
 ///
 /// Budgets are passed by shared reference and are safe to poll from
-/// the fan-out worker threads (`check` only touches atomics and a
+/// the annealing restart workers (`check` only touches atomics and a
 /// monotonic clock read). An unlimited budget never interrupts and
 /// costs one atomic increment per checkpoint.
 #[derive(Debug, Default)]

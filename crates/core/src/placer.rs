@@ -27,36 +27,6 @@ pub struct Trial {
     pub finish: Time,
 }
 
-/// Computes `F(i,k)` against arbitrary resource tables: trial-schedules
-/// `task`'s incoming transactions and the task itself on `pe`, then
-/// restores the tables. This is the pure evaluation kernel shared by
-/// [`Placer::trial`] and the parallel trial workers in [`crate::level`],
-/// which run it against per-worker *clones* of the placer's tables.
-///
-/// # Panics
-///
-/// Panics if any predecessor of `task` has no placement in `placements`.
-#[must_use]
-pub fn trial_eval(
-    graph: &TaskGraph,
-    platform: &Platform,
-    tables: &mut ResourceTables,
-    placements: &[Option<TaskPlacement>],
-    task: TaskId,
-    pe: PeId,
-    model: CommModel,
-) -> Trial {
-    let mark = tables.checkpoint();
-    let incoming = schedule_incoming(graph, platform, tables, placements, task, pe, model);
-    let exec = graph.task(task).exec_time(pe);
-    let start = tables.earliest_pe_slot(pe, incoming.drt, exec);
-    tables.rollback(mark);
-    Trial {
-        start,
-        finish: start + exec,
-    }
-}
-
 /// Incremental scheduling state over one graph and platform.
 #[derive(Debug, Clone)]
 pub struct Placer<'a> {
@@ -138,13 +108,6 @@ impl<'a> Placer<'a> {
         self.platform
     }
 
-    /// The current resource tables (for snapshotting into parallel trial
-    /// workers).
-    #[must_use]
-    pub(crate) fn tables(&self) -> &ResourceTables {
-        &self.tables
-    }
-
     /// Current (partial) placements, task-id order.
     #[must_use]
     pub fn placements(&self) -> &[Option<TaskPlacement>] {
@@ -161,7 +124,8 @@ impl<'a> Placer<'a> {
     /// Panics if `task` is not ready (has unplaced predecessors).
     #[must_use]
     pub fn trial(&mut self, task: TaskId, pe: PeId, model: CommModel) -> Trial {
-        trial_eval(
+        let mark = self.tables.checkpoint();
+        let incoming = schedule_incoming(
             self.graph,
             self.platform,
             &mut self.tables,
@@ -169,7 +133,14 @@ impl<'a> Placer<'a> {
             task,
             pe,
             model,
-        )
+        );
+        let exec = self.graph.task(task).exec_time(pe);
+        let start = self.tables.earliest_pe_slot(pe, incoming.drt, exec);
+        self.tables.rollback(mark);
+        Trial {
+            start,
+            finish: start + exec,
+        }
     }
 
     /// The epoch stamp of a `(task, pe)` trial: the sum of the commit
@@ -201,35 +172,21 @@ impl<'a> Placer<'a> {
 
     /// Cached variant of [`trial`](Self::trial): returns the memoized
     /// `F(i,k)` when the epoch stamp proves it is still exact, else
-    /// recomputes and stores it. Results are always identical to
-    /// [`trial`](Self::trial).
+    /// recomputes and stores it. The trial is always identical to
+    /// [`trial`](Self::trial)'s; the flag says whether the cache
+    /// answered it.
     #[must_use]
-    pub fn cached_trial(&mut self, task: TaskId, pe: PeId, model: CommModel) -> Trial {
-        if let Some(hit) = self.cache_probe(task, pe, model) {
-            return hit;
+    pub fn cached_trial(&mut self, task: TaskId, pe: PeId, model: CommModel) -> (Trial, bool) {
+        // Trials roll their tables back and never touch the epochs, so
+        // one stamp serves both the probe and the store.
+        let stamp = self.trial_stamp(task, pe, model);
+        if let Some(hit) = self.cache.probe(task.index(), pe.index(), model, stamp) {
+            return (hit, true);
         }
         let trial = self.trial(task, pe, model);
-        self.cache_store(task, pe, model, trial);
-        trial
-    }
-
-    /// Probes the trial cache without computing anything on a miss.
-    pub(crate) fn cache_probe(
-        &mut self,
-        task: TaskId,
-        pe: PeId,
-        model: CommModel,
-    ) -> Option<Trial> {
-        let stamp = self.trial_stamp(task, pe, model);
-        self.cache.probe(task.index(), pe.index(), model, stamp)
-    }
-
-    /// Stores an externally computed trial (from a parallel worker that
-    /// evaluated it against a snapshot of the current tables).
-    pub(crate) fn cache_store(&mut self, task: TaskId, pe: PeId, model: CommModel, trial: Trial) {
-        let stamp = self.trial_stamp(task, pe, model);
         self.cache
             .store(task.index(), pe.index(), model, stamp, trial);
+        (trial, false)
     }
 
     /// `(hits, misses)` of the trial cache since construction.
@@ -466,9 +423,12 @@ mod tests {
         let p = platform();
         let g = chain();
         let mut placer = Placer::new(&g, &p).unwrap();
-        let first = placer.cached_trial(TaskId::new(0), PeId::new(0), CommModel::Contention);
-        let second = placer.cached_trial(TaskId::new(0), PeId::new(0), CommModel::Contention);
+        let (first, first_hit) =
+            placer.cached_trial(TaskId::new(0), PeId::new(0), CommModel::Contention);
+        let (second, second_hit) =
+            placer.cached_trial(TaskId::new(0), PeId::new(0), CommModel::Contention);
         assert_eq!(first, second);
+        assert!(!first_hit && second_hit);
         let (hits, misses) = placer.cache_stats();
         assert_eq!((hits, misses), (1, 1), "second probe must be a hit");
     }
@@ -482,12 +442,12 @@ mod tests {
         let c = b.add_task(Task::uniform("c", 4, Time::new(100), Energy::from_nj(1.0)));
         let g = b.build().unwrap();
         let mut placer = Placer::new(&g, &p).unwrap();
-        let before = placer.cached_trial(c, PeId::new(0), CommModel::Contention);
+        let (before, _) = placer.cached_trial(c, PeId::new(0), CommModel::Contention);
         assert_eq!(before.start, Time::ZERO);
         placer.commit(a, PeId::new(0));
         // The PE epoch bump must force a recomputation that sees the
         // occupied [0, 100) slot; a stale hit would return start 0.
-        let after = placer.cached_trial(c, PeId::new(0), CommModel::Contention);
+        let (after, _) = placer.cached_trial(c, PeId::new(0), CommModel::Contention);
         assert_eq!(after.start, Time::new(100));
     }
 
@@ -506,13 +466,13 @@ mod tests {
         let mut placer = Placer::new(&g, &p).unwrap();
         placer.commit(a, PeId::new(0));
         // Trial c on tile 3: route 0->1->3, comm [100, 110), start 110.
-        let before = placer.cached_trial(c, PeId::new(3), CommModel::Contention);
+        let (before, _) = placer.cached_trial(c, PeId::new(3), CommModel::Contention);
         assert_eq!(before.start, Time::new(110));
         // Committing d on tile 1 reserves link 0->1 for [100, 110). PE 3's
         // table is untouched — only the link epoch can invalidate c's
         // cached trial, whose transfer must now wait for the link.
         placer.commit(d, PeId::new(1));
-        let after = placer.cached_trial(c, PeId::new(3), CommModel::Contention);
+        let (after, _) = placer.cached_trial(c, PeId::new(3), CommModel::Contention);
         assert_eq!(after.start, Time::new(120));
     }
 }

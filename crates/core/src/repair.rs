@@ -91,19 +91,21 @@ pub fn search_and_repair(
     platform: &Platform,
     schedule: Schedule,
 ) -> (Schedule, RepairStats) {
-    search_and_repair_threads(graph, platform, schedule, 1)
+    search_and_repair_traced(
+        graph,
+        platform,
+        schedule,
+        &ComputeBudget::unlimited(),
+        &mut Tracer::off(),
+    )
+    .expect("unlimited budget never interrupts")
 }
 
-/// [`search_and_repair`] with GTM candidate re-timings fanned out over
-/// `threads` workers (`0` = all hardware threads).
-///
-/// Destinations are still tried in the serial order (increasing
-/// migration energy); they are evaluated in blocks of `threads`
-/// candidates and the *first improving candidate in that order* is the
-/// one accepted, with [`RepairStats::trials`] counting exactly the
-/// candidates the serial scan would have evaluated — so the repaired
-/// schedule **and** the statistics are byte-identical to the serial run
-/// for every thread count.
+/// [`search_and_repair`] under its pre-serial signature: `threads` is
+/// ignored, because GTM candidates are always re-timed serially, like
+/// the level scheduler's F(i,k) trials. Called only by perf_ledger's
+/// replay, outside the workspace; it goes once that replay calls
+/// [`search_and_repair`].
 #[must_use]
 pub fn search_and_repair_threads(
     graph: &TaskGraph,
@@ -111,48 +113,20 @@ pub fn search_and_repair_threads(
     schedule: Schedule,
     threads: usize,
 ) -> (Schedule, RepairStats) {
-    search_and_repair_threads_budgeted(
-        graph,
-        platform,
-        schedule,
-        threads,
-        &ComputeBudget::unlimited(),
-    )
-    .expect("unlimited budget never interrupts")
+    let _ = threads;
+    search_and_repair(graph, platform, schedule)
 }
 
-/// Budgeted variant of [`search_and_repair_threads`]: the budget is
-/// polled before every LTS candidate re-timing and every GTM candidate
-/// block. All candidate state lives in clones; an interrupt simply
-/// drops the partially repaired schedule, so no reservation or ordering
+/// [`search_and_repair`] with a [`ComputeBudget`] polled before every
+/// candidate re-timing, LTS and GTM alike, and every *accepted* move
+/// traced — [`EventKind::LtsSwap`] / [`EventKind::GtmMove`] with the
+/// post-move badness and trial count — in acceptance order. Rejected
+/// candidates are deliberately not traced (there can be hundreds of
+/// thousands); the `trials` counter carries their cost.
+///
+/// All candidate state is local to the call: an interrupt simply drops
+/// the partially repaired schedule, so no reservation or ordering
 /// change survives it.
-///
-/// # Errors
-///
-/// The [`Interrupt`] that fired.
-pub fn search_and_repair_threads_budgeted(
-    graph: &TaskGraph,
-    platform: &Platform,
-    schedule: Schedule,
-    threads: usize,
-    budget: &ComputeBudget,
-) -> Result<(Schedule, RepairStats), Interrupt> {
-    search_and_repair_traced(
-        graph,
-        platform,
-        schedule,
-        threads,
-        budget,
-        &mut Tracer::off(),
-    )
-}
-
-/// Traced variant of [`search_and_repair_threads_budgeted`]: every
-/// *accepted* move is recorded — [`EventKind::LtsSwap`] /
-/// [`EventKind::GtmMove`] with the post-move badness and trial count —
-/// in acceptance order, which is serial-identical for every thread
-/// count. Rejected candidates are deliberately not traced (there can be
-/// hundreds of thousands); the `trials` counter carries their cost.
 ///
 /// # Errors
 ///
@@ -161,11 +135,9 @@ pub fn search_and_repair_traced(
     graph: &TaskGraph,
     platform: &Platform,
     schedule: Schedule,
-    threads: usize,
     budget: &ComputeBudget,
     tracer: &mut Tracer<'_>,
 ) -> Result<(Schedule, RepairStats), Interrupt> {
-    let workers = noc_par::effective_threads(threads);
     let mut stats = RepairStats::default();
     if badness(&schedule, graph).0 == 0 {
         return Ok((schedule, stats));
@@ -253,73 +225,44 @@ pub fn search_and_repair_traced(
                     .expect("finite energies")
             });
             let old_start = current.task(t).start;
-            // Evaluate destinations in blocks of `workers` candidates.
-            // Each candidate re-times a *clone* of the current ordered
-            // assignment, so workers never share mutable state; accepting
-            // the first improving candidate in sorted order (and charging
-            // `trials` for exactly the candidates a serial scan would
-            // have evaluated) keeps results and stats serial-identical.
-            let mut next = 0;
-            while next < destinations.len() {
+            let src_pos = oa.position(t);
+            for &(energy, dst) in &destinations {
                 budget.check()?;
-                let budget_left = MAX_REPAIR_TRIALS - stats.trials;
-                if budget_left == 0 {
+                if stats.trials >= MAX_REPAIR_TRIALS {
                     break 'gtm;
                 }
-                let block_end = destinations
-                    .len()
-                    .min(next + workers)
-                    .min(next + budget_left);
-                let block = &destinations[next..block_end];
-                let evals: Vec<Option<(Schedule, Badness)>> =
-                    noc_par::par_map(workers, block, |_, &(_, dst)| {
-                        let mut trial_oa = oa.clone();
-                        // Insert keeping the destination queue sorted by
-                        // current start times.
-                        let anchor = trial_oa.order[dst.index()]
-                            .iter()
-                            .position(|&x| current.task(x).start > old_start)
-                            .unwrap_or(trial_oa.order[dst.index()].len());
-                        trial_oa.migrate(t, dst, anchor);
-                        retime(graph, platform, &trial_oa).map(|c| {
-                            let b = badness(&c, graph);
-                            (c, b)
-                        })
-                    });
-                let accepted = evals
+                // Insert keeping the destination queue sorted by current
+                // start times.
+                let anchor = oa.order[dst.index()]
                     .iter()
-                    .position(|e| e.as_ref().is_some_and(|(_, b)| *b < best));
-                match accepted {
-                    Some(j) => {
-                        stats.trials += j + 1;
-                        let dst = block[j].1;
-                        let anchor = oa.order[dst.index()]
-                            .iter()
-                            .position(|&x| current.task(x).start > old_start)
-                            .unwrap_or(oa.order[dst.index()].len());
-                        oa.migrate(t, dst, anchor);
-                        let (cand, b) = evals.into_iter().nth(j).flatten().expect("improving");
-                        current = cand;
-                        best = b;
-                        stats.gtm_accepted += 1;
-                        if tracer.on() {
-                            tracer.emit(EventKind::GtmMove {
-                                task: t.index(),
-                                to_pe: dst.index(),
-                                energy_nj: block[j].0.as_nj(),
-                                misses: best.0,
-                                tardiness_ticks: best.1.ticks(),
-                                trials: stats.trials,
-                            });
-                        }
-                        migrated = true;
-                        break 'gtm;
+                    .position(|&x| current.task(x).start > old_start)
+                    .unwrap_or(oa.order[dst.index()].len());
+                oa.migrate(t, dst, anchor);
+                stats.trials += 1;
+                let improved = retime(graph, platform, &oa)
+                    .map(|c| {
+                        let b = badness(&c, graph);
+                        (c, b)
+                    })
+                    .filter(|(_, b)| *b < best);
+                if let Some((c, b)) = improved {
+                    current = c;
+                    best = b;
+                    stats.gtm_accepted += 1;
+                    if tracer.on() {
+                        tracer.emit(EventKind::GtmMove {
+                            task: t.index(),
+                            to_pe: dst.index(),
+                            energy_nj: energy.as_nj(),
+                            misses: best.0,
+                            tardiness_ticks: best.1.ticks(),
+                            trials: stats.trials,
+                        });
                     }
-                    None => {
-                        stats.trials += block.len();
-                        next = block_end;
-                    }
+                    migrated = true;
+                    break 'gtm;
                 }
+                oa.migrate(t, src, src_pos); // roll back
             }
         }
         if !migrated {
@@ -339,9 +282,8 @@ pub fn search_and_repair_traced(
 /// their original start time. The evacuated assignment is re-timed on
 /// the faulted platform — whose fault-aware routes already detour
 /// around dead links, so the Fig. 3 link tables only ever reserve
-/// surviving links — and then handed to
-/// [`search_and_repair_threads`], which masks dead PEs out of its GTM
-/// candidate list. The combined pass re-runs the paper's Step 3 with
+/// surviving links — and then handed to [`search_and_repair`], which
+/// masks dead PEs out of its GTM candidate list. The combined pass re-runs the paper's Step 3 with
 /// failed resources masked, recovering deadlines where slack permits.
 ///
 /// Returns `None` when the evacuated order cannot be re-timed (a
@@ -352,7 +294,6 @@ pub fn repair_with_faults(
     graph: &TaskGraph,
     platform: &Platform,
     schedule: &Schedule,
-    threads: usize,
 ) -> Option<(Schedule, RepairStats)> {
     let mut oa = OrderedAssignment::from_schedule(schedule, platform);
     let stranded: Vec<TaskId> = graph
@@ -378,7 +319,7 @@ pub fn repair_with_faults(
         oa.migrate(t, dst, anchor);
     }
     let rebased = retime(graph, platform, &oa)?;
-    Some(search_and_repair_threads(graph, platform, rebased, threads))
+    Some(search_and_repair(graph, platform, rebased))
 }
 
 /// The energy of task `t` if migrated to `k` under the current
@@ -526,39 +467,6 @@ mod tests {
         assert_eq!(out.deadline_misses(&g).len(), 1);
     }
 
-    /// Parallel GTM evaluation must reproduce the serial repair exactly —
-    /// same schedule, same accept/trial counters — on workloads that
-    /// actually exercise migrations.
-    #[test]
-    fn parallel_repair_is_bit_identical_to_serial() {
-        use crate::scheduler::Scheduler;
-        use noc_ctg::prelude::{TgffConfig, TgffGenerator};
-        let p = Platform::builder()
-            .topology(TopologySpec::mesh(4, 4))
-            .pe_mix(PeCatalog::date04().cycle_mix())
-            .build()
-            .unwrap();
-        for seed in [2u64, 5] {
-            let mut cfg = TgffConfig::small(seed);
-            cfg.deadline_laxity = 0.95; // provoke misses so GTM runs
-            let g = TgffGenerator::new(cfg).generate(&p).unwrap();
-            let base = crate::EasScheduler::base()
-                .schedule(&g, &p)
-                .unwrap()
-                .schedule;
-            let (serial, serial_stats) = search_and_repair(&g, &p, base.clone());
-            assert!(
-                serial_stats.trials > 0,
-                "seed {seed}: workload must exercise repair"
-            );
-            for threads in [2usize, 4, 7] {
-                let (par, par_stats) = search_and_repair_threads(&g, &p, base.clone(), threads);
-                assert_eq!(par, serial, "seed {seed} threads {threads}");
-                assert_eq!(par_stats, serial_stats, "seed {seed} threads {threads}");
-            }
-        }
-    }
-
     /// A schedule struck by a PE fault is evacuated, re-timed on the
     /// faulted platform and repaired — never placing anything on the
     /// dead PE.
@@ -591,13 +499,13 @@ mod tests {
             .build()
             .unwrap();
         let (repaired, _) =
-            repair_with_faults(&g, &faulted, &schedule, 1).expect("evacuation re-times");
+            repair_with_faults(&g, &faulted, &schedule).expect("evacuation re-times");
         for t in [a, c, d] {
             assert_ne!(repaired.task(t).pe, dead, "task {t} still on dead PE");
         }
         validate(&repaired, &g, &faulted).expect("valid on the faulted platform");
         // Deterministic: a second run reproduces the schedule exactly.
-        let (again, _) = repair_with_faults(&g, &faulted, &schedule, 1).unwrap();
+        let (again, _) = repair_with_faults(&g, &faulted, &schedule).unwrap();
         assert_eq!(again, repaired);
     }
 
@@ -632,7 +540,7 @@ mod tests {
             .faults(FaultSet::parse("link:0-1").unwrap())
             .build()
             .unwrap();
-        let (repaired, _) = repair_with_faults(&g, &faulted, &schedule, 1).expect("re-times");
+        let (repaired, _) = repair_with_faults(&g, &faulted, &schedule).expect("re-times");
         validate(&repaired, &g, &faulted).expect("valid with detour routes");
     }
 

@@ -11,7 +11,7 @@ use noc_schedule::{validate, Schedule, ScheduleStats, ValidationReport};
 
 use crate::budget::SlackBudgets;
 use crate::edf::edf_schedule;
-use crate::level::level_schedule_threads_budgeted;
+use crate::level::level_schedule_traced;
 use crate::limit::ComputeBudget;
 use crate::placer::Placer;
 use crate::repair::{search_and_repair_traced, RepairStats};
@@ -91,11 +91,6 @@ pub struct EasConfig {
     /// Use slack budgeting. With `false` every budget is infinite and
     /// Step 2 degenerates to pure greedy energy minimization (ablation).
     pub budgeting: bool,
-    /// Worker threads for trial `F(i,k)` evaluation and GTM candidate
-    /// re-timing (`0` = all hardware threads, `1` = serial). The
-    /// schedule is byte-identical for every value — parallelism only
-    /// changes wall-clock time, never results.
-    pub threads: usize,
 }
 
 impl Default for EasConfig {
@@ -106,7 +101,6 @@ impl Default for EasConfig {
             search_and_repair: true,
             comm_model: CommModel::Contention,
             budgeting: true,
-            threads: 1,
         }
     }
 }
@@ -119,14 +113,6 @@ impl EasConfig {
             search_and_repair: false,
             ..EasConfig::default()
         }
-    }
-
-    /// Same configuration with a different thread count (`0` = all
-    /// hardware threads).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -192,10 +178,10 @@ pub trait Scheduler {
     /// emitting decision [`trace`](crate::trace) events into `sink`.
     ///
     /// Tracing is strictly observational: the returned outcome is
-    /// byte-identical to an untraced run, for every thread count. The
-    /// default implementation ignores the sink — appropriate for
-    /// baselines with no interesting decision structure; the EAS family
-    /// overrides it with full pipeline instrumentation.
+    /// byte-identical to an untraced run. The default implementation
+    /// ignores the sink — appropriate for baselines with no interesting
+    /// decision structure; the EAS family overrides it with full
+    /// pipeline instrumentation.
     ///
     /// # Errors
     ///
@@ -314,11 +300,10 @@ impl Scheduler for EasScheduler {
         // only committed placements live in it, so nothing escapes.
         let mut placer = Placer::new(graph, platform)?;
         tracer.begin("level");
-        level_schedule_threads_budgeted(
+        level_schedule_traced(
             &mut placer,
             &budgets,
             self.config.comm_model,
-            self.config.threads,
             budget,
             &mut tracer,
         )?;
@@ -329,14 +314,8 @@ impl Scheduler for EasScheduler {
         let mut repair = RepairStats::default();
         if self.config.search_and_repair {
             tracer.begin("repair");
-            let (repaired, stats) = search_and_repair_traced(
-                graph,
-                platform,
-                schedule,
-                self.config.threads,
-                budget,
-                &mut tracer,
-            )?;
+            let (repaired, stats) =
+                search_and_repair_traced(graph, platform, schedule, budget, &mut tracer)?;
             schedule = repaired;
             repair = stats;
             tracer.poll("repair", budget);

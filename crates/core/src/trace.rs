@@ -6,9 +6,9 @@
 //! threaded through [`Scheduler::schedule_traced`]. Tracing is strictly
 //! observational: a traced run commits the exact same placements as an
 //! untraced one, so schedules stay byte-identical with tracing on or
-//! off, and — because events are emitted centrally in the deterministic
-//! `(round, task, PE)` reduction order — the logical event stream is
-//! identical for every `--threads` value.
+//! off. Level scheduling emits in `(round, task, PE)` order and
+//! annealing chains are emitted in chain order after all finish, so the
+//! logical event stream is identical for every `--threads` value.
 //!
 //! Timestamps come in two flavours: every event carries a logical
 //! sequence number (`seq`, assigned by the sink in emission order), and

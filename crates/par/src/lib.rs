@@ -9,27 +9,22 @@
 //!   contiguous chunks (one per worker) and the per-chunk results are
 //!   concatenated in chunk order, so the output `Vec` is index-aligned
 //!   with the input regardless of scheduling.
-//! * [`RoundPool`] — persistent workers for *iterated* fan-outs (one
-//!   round per scheduling pass). Spawning threads once and reusing them
-//!   across hundreds of rounds keeps the per-round overhead to a single
-//!   mutex round-trip per worker instead of a thread spawn.
 //!
-//! Jobs must be pure with respect to the shared round context: workers
-//! receive `&Ctx` and may only mutate their own per-chunk scratch state.
+//! Fan-outs pay a thread spawn per worker per call, so they suit coarse
+//! jobs: annealing restart chains and experiment grid cells. The EAS
+//! level scheduler and search & repair evaluate their fine-grained
+//! F(i,k) trials and GTM candidates serially instead; on two CPUs a
+//! per-round fan-out ran them at 0.40–0.47× the serial speed.
 //!
 //! # Panic isolation
 //!
-//! A panicking job must never take down the caller's process or hang a
-//! pool. Worker closures run under [`std::panic::catch_unwind`]:
-//! [`try_par_map`] reports the first panicking chunk (in chunk order, so
-//! the error is deterministic) as a typed [`WorkerPanic`], and
-//! [`RoundPool::try_run_round`] does the same per round — the panicking
-//! worker still reports its round as finished, keeping the pool's
-//! bookkeeping intact, and stays alive for subsequent rounds.
+//! A panicking job must never take down the caller's process. Worker
+//! closures run under [`std::panic::catch_unwind`]: [`try_par_map`]
+//! reports the first panicking chunk (in chunk order, so the error is
+//! deterministic) as a typed [`WorkerPanic`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{Scope, ScopedJoinHandle};
+use std::thread::ScopedJoinHandle;
 
 /// A worker closure panicked during a parallel evaluation.
 ///
@@ -176,190 +171,9 @@ where
     Ok(out)
 }
 
-struct Inner<Ctx, Job, Out> {
-    /// Monotone round counter; workers run one evaluation per tick.
-    round: u64,
-    shutdown: bool,
-    /// Context and jobs of the active round, shared read-only.
-    work: Option<(Arc<Ctx>, Arc<Vec<Job>>)>,
-    /// Per-worker chunk results of the active round (`Err` = the worker
-    /// panicked this round; it stays alive for the next one).
-    results: Vec<Option<Result<Vec<Out>, WorkerPanic>>>,
-    /// Workers that have not finished the active round yet.
-    remaining: usize,
-}
-
-struct Shared<Ctx, Job, Out> {
-    inner: Mutex<Inner<Ctx, Job, Out>>,
-    start: Condvar,
-    done: Condvar,
-}
-
-/// A pool of persistent scoped workers evaluating one batch of jobs per
-/// [`run_round`](RoundPool::run_round) call.
-///
-/// Each round, worker `w` evaluates the `w`-th contiguous chunk of the
-/// job list against the shared round context; the per-chunk result
-/// vectors are concatenated in worker order, so `run_round` returns
-/// results index-aligned with its `jobs` argument — exactly what a
-/// serial `jobs.iter().map(...)` would produce.
-///
-/// The pool must live inside a [`std::thread::scope`]; dropping it (or
-/// leaving the scope) shuts the workers down.
-pub struct RoundPool<'scope, Ctx, Job, Out> {
-    shared: Arc<Shared<Ctx, Job, Out>>,
-    threads: usize,
-    _handles: Vec<ScopedJoinHandle<'scope, ()>>,
-}
-
-impl<'scope, Ctx, Job, Out> RoundPool<'scope, Ctx, Job, Out>
-where
-    Ctx: Send + Sync + 'scope,
-    Job: Send + Sync + 'scope,
-    Out: Send + 'scope,
-{
-    /// Spawns `threads` workers on `scope`. Each round, every worker
-    /// calls `eval(&ctx, chunk)` once with its contiguous job chunk and
-    /// must return one result per job, in chunk order.
-    pub fn new<'env, E>(scope: &'scope Scope<'scope, 'env>, threads: usize, eval: E) -> Self
-    where
-        E: Fn(&Ctx, &[Job]) -> Vec<Out> + Send + Sync + 'scope,
-    {
-        assert!(threads >= 1, "a pool needs at least one worker");
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                round: 0,
-                shutdown: false,
-                work: None,
-                results: (0..threads).map(|_| None).collect(),
-                remaining: 0,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let eval = Arc::new(eval);
-        let handles = (0..threads)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                let eval = Arc::clone(&eval);
-                scope.spawn(move || worker_loop(w, threads, &shared, eval.as_ref()))
-            })
-            .collect();
-        RoundPool {
-            shared,
-            threads,
-            _handles: handles,
-        }
-    }
-
-    /// Evaluates `jobs` against `ctx` across all workers and returns the
-    /// results in job order. Blocks until the round completes; on return
-    /// no worker holds a reference to `ctx` or `jobs` any more.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker panic on the calling thread (the pool itself
-    /// stays usable); see [`try_run_round`](RoundPool::try_run_round).
-    pub fn run_round(&self, ctx: Ctx, jobs: Vec<Job>) -> Vec<Out> {
-        match self.try_run_round(ctx, jobs) {
-            Ok(out) => out,
-            Err(p) => panic!("round pool worker panicked: {}", p.message),
-        }
-    }
-
-    /// [`run_round`](RoundPool::run_round) with typed panic handling: a
-    /// panicking `eval` fails this round with a [`WorkerPanic`] (first
-    /// panicking worker in chunk order) instead of hanging or unwinding.
-    /// The panicking worker reports its round as complete and keeps
-    /// serving subsequent rounds — no respawn needed.
-    ///
-    /// # Errors
-    ///
-    /// The [`WorkerPanic`] of the first panicking chunk.
-    pub fn try_run_round(&self, ctx: Ctx, jobs: Vec<Job>) -> Result<Vec<Out>, WorkerPanic> {
-        let expected = jobs.len();
-        let mut inner = self.shared.inner.lock().expect("pool lock");
-        inner.work = Some((Arc::new(ctx), Arc::new(jobs)));
-        inner.round += 1;
-        inner.remaining = self.threads;
-        for slot in &mut inner.results {
-            *slot = None;
-        }
-        self.shared.start.notify_all();
-        while inner.remaining > 0 {
-            inner = self.shared.done.wait(inner).expect("pool lock");
-        }
-        inner.work = None; // last references: ctx and jobs die here
-        let mut out = Vec::with_capacity(expected);
-        for slot in &mut inner.results {
-            out.append(&mut slot.take().expect("worker reported its chunk")?);
-        }
-        debug_assert_eq!(out.len(), expected, "eval must return one result per job");
-        Ok(out)
-    }
-
-    /// Number of workers in the pool.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl<Ctx, Job, Out> Drop for RoundPool<'_, Ctx, Job, Out> {
-    fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("pool lock");
-        inner.shutdown = true;
-        self.shared.start.notify_all();
-    }
-}
-
-fn worker_loop<Ctx, Job, Out, E>(
-    worker: usize,
-    threads: usize,
-    shared: &Shared<Ctx, Job, Out>,
-    eval: &E,
-) where
-    E: Fn(&Ctx, &[Job]) -> Vec<Out>,
-{
-    let mut seen_round = 0u64;
-    loop {
-        let (ctx, jobs) = {
-            let mut inner = shared.inner.lock().expect("pool lock");
-            loop {
-                if inner.shutdown {
-                    return;
-                }
-                if inner.round > seen_round {
-                    break;
-                }
-                inner = shared.start.wait(inner).expect("pool lock");
-            }
-            seen_round = inner.round;
-            let (ctx, jobs) = inner.work.as_ref().expect("active round has work");
-            (Arc::clone(ctx), Arc::clone(jobs))
-        };
-        let (lo, hi) = chunk_bounds(jobs.len(), threads, worker);
-        // A panicking eval must still decrement `remaining` below, or
-        // run_round would wait forever; catch it and report it typed.
-        let out = catch_unwind(AssertUnwindSafe(|| eval(&ctx, &jobs[lo..hi])))
-            .map_err(WorkerPanic::from_payload);
-        // Drop the shared references *before* reporting completion so
-        // `run_round` can hand the context back to the caller by value.
-        drop(jobs);
-        drop(ctx);
-        let mut inner = shared.inner.lock().expect("pool lock");
-        inner.results[worker] = Some(out);
-        inner.remaining -= 1;
-        if inner.remaining == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn chunk_bounds_tile_the_range() {
@@ -399,60 +213,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(4, &empty, |_, &x| x).is_empty());
         assert_eq!(par_map(4, &[9u32], |_, &x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn round_pool_orders_results_across_rounds() {
-        std::thread::scope(|scope| {
-            let pool: RoundPool<'_, u64, u64, u64> =
-                RoundPool::new(scope, 3, |offset: &u64, jobs: &[u64]| {
-                    jobs.iter().map(|j| j * 10 + offset).collect()
-                });
-            for round in 0..50u64 {
-                let jobs: Vec<u64> = (0..13).collect();
-                let expect: Vec<u64> = jobs.iter().map(|j| j * 10 + round).collect();
-                assert_eq!(pool.run_round(round, jobs), expect);
-            }
-        });
-    }
-
-    #[test]
-    fn round_pool_runs_every_job_exactly_once() {
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let pool = RoundPool::new(scope, 4, |(): &(), jobs: &[u32]| {
-                CALLS.fetch_add(jobs.len(), Ordering::SeqCst);
-                jobs.to_vec()
-            });
-            let jobs: Vec<u32> = (0..101).collect();
-            let out = pool.run_round((), jobs.clone());
-            assert_eq!(out, jobs);
-        });
-        assert_eq!(CALLS.load(Ordering::SeqCst), 101);
-    }
-
-    #[test]
-    fn round_pool_tolerates_empty_rounds() {
-        std::thread::scope(|scope| {
-            let pool = RoundPool::new(scope, 2, |(): &(), jobs: &[u8]| jobs.to_vec());
-            assert!(pool.run_round((), Vec::new()).is_empty());
-            assert_eq!(pool.run_round((), vec![1, 2, 3]), vec![1, 2, 3]);
-        });
-    }
-
-    #[test]
-    fn round_pool_context_is_returned_exclusively() {
-        // The context must have no outstanding references after
-        // run_round: an Arc handed in by value would be unwrappable.
-        std::thread::scope(|scope| {
-            let pool = RoundPool::new(scope, 2, |ctx: &Arc<Vec<u32>>, jobs: &[usize]| {
-                jobs.iter().map(|&j| ctx[j]).collect::<Vec<u32>>()
-            });
-            let ctx = Arc::new(vec![5u32, 6, 7]);
-            let out = pool.run_round(Arc::clone(&ctx), vec![2, 0, 1]);
-            assert_eq!(out, vec![7, 5, 6]);
-            assert_eq!(Arc::strong_count(&ctx), 1, "workers must release the ctx");
-        });
     }
 
     #[test]
@@ -507,26 +267,5 @@ mod tests {
         .expect_err("must panic");
         let msg = caught.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("unlucky"), "got: {msg}");
-    }
-
-    /// A worker panic fails the round but neither hangs `run_round` nor
-    /// kills the pool: the same workers serve the next round.
-    #[test]
-    fn round_pool_survives_a_panicking_round() {
-        std::thread::scope(|scope| {
-            let pool = RoundPool::new(scope, 3, |poison: &bool, jobs: &[u32]| {
-                assert!(!poison, "poisoned round");
-                jobs.to_vec()
-            });
-            let jobs: Vec<u32> = (0..23).collect();
-            let err = pool
-                .try_run_round(true, jobs.clone())
-                .expect_err("poisoned round fails");
-            assert!(err.message.contains("poisoned round"));
-            // The pool is intact: clean rounds still work afterwards.
-            for _ in 0..3 {
-                assert_eq!(pool.try_run_round(false, jobs.clone()), Ok(jobs.clone()));
-            }
-        });
     }
 }

@@ -43,9 +43,10 @@ pub struct ScheduleRequest {
     /// Optional fault spec, e.g. `"tile:4,link:1-2"`.
     #[serde(default)]
     pub faults: Option<String>,
-    /// Worker threads for the schedulers that parallelize; results are
-    /// identical for every value, so this is *excluded* from the cache
-    /// key. Defaults to the server's `--threads`.
+    /// Restart-chain workers for `anneal` (EAS and the baselines run
+    /// serially); results are identical for every value, so this is
+    /// *excluded* from the cache key. Defaults to the server's
+    /// `--threads`.
     #[serde(default)]
     pub threads: Option<usize>,
     /// `"sync"` (default) answers with the schedule; `"async"` answers
@@ -178,8 +179,9 @@ pub struct DeltaRequest {
     /// their serde shape, e.g.
     /// `[{"SetDeadline":{"task":3,"deadline":900}}]`.
     pub edits: Value,
-    /// Worker threads (identical output for every value; excluded from
-    /// the cache key). Defaults to the server's `--threads`.
+    /// Restart-chain workers for an `anneal` prior (identical output
+    /// for every value; excluded from the cache key). Defaults to the
+    /// server's `--threads`.
     #[serde(default)]
     pub threads: Option<usize>,
     /// `"sync"` (default) or `"async"` (poll `GET /v1/jobs/<id>`).

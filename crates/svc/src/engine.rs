@@ -95,7 +95,6 @@ enum JobWork {
         /// The *edited* platform.
         platform: Box<Platform>,
         applied: AppliedEdits,
-        threads: usize,
     },
 }
 
@@ -256,8 +255,8 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Response-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Default scheduler thread count when a request does not name one
-    /// (0 = all hardware threads).
+    /// Default annealing restart workers when a request does not name a
+    /// thread count (0 = all hardware threads). EAS runs serially.
     pub threads: usize,
     /// Per-request compute budget, wall-clock milliseconds. A scheduler
     /// that exhausts it is answered by the degraded EDF fallback.
@@ -704,7 +703,6 @@ impl Engine {
                 prior_scheduler_name,
                 platform: Box::new(platform),
                 applied,
-                threads,
             },
             request.canonical_key(&prior),
         ))
@@ -1158,7 +1156,6 @@ impl Engine {
             prior_key,
             platform,
             applied,
-            threads,
         } = work
         else {
             unreachable!("execute_delta is only called on delta work");
@@ -1209,7 +1206,6 @@ impl Engine {
             &prior_schedule,
             platform,
             applied,
-            *threads,
             &budget,
             &mut sink,
         );

@@ -72,7 +72,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Response-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Default scheduler thread count (0 = all hardware threads).
+    /// Default annealing restart workers (0 = all hardware threads).
     pub threads: usize,
     /// Largest accepted request body, bytes.
     pub max_body: usize,

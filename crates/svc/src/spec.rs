@@ -110,8 +110,9 @@ impl Scheduler for ChaosPanicScheduler {
 }
 
 /// Parses a scheduler name into a boxed [`Scheduler`]. `threads` sets
-/// the worker count for the schedulers that parallelize (`eas`,
-/// `eas-base`, `anneal`); `0` means all hardware threads. Results are
+/// the restart-chain worker count of `anneal` (`0` means all hardware
+/// threads, and no more workers than restarts ever spawn); every other
+/// scheduler, EAS included, runs serially and ignores it. Results are
 /// identical for every thread count.
 ///
 /// The special name `chaos-panic` resolves to a scheduler that panics
@@ -127,12 +128,8 @@ pub fn parse_scheduler(
 ) -> Result<Box<dyn Scheduler + Send + Sync>, String> {
     match name {
         "chaos-panic" => Ok(Box::new(ChaosPanicScheduler)),
-        "eas" => Ok(Box::new(EasScheduler::new(
-            EasConfig::default().with_threads(threads),
-        ))),
-        "eas-base" => Ok(Box::new(EasScheduler::new(
-            EasConfig::base().with_threads(threads),
-        ))),
+        "eas" => Ok(Box::new(EasScheduler::full())),
+        "eas-base" => Ok(Box::new(EasScheduler::base())),
         "edf" => Ok(Box::new(EdfScheduler::new())),
         "dls" => Ok(Box::new(DlsScheduler::new())),
         "anneal" => Ok(Box::new(AnnealScheduler::new(AnnealConfig {

@@ -6,7 +6,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use noc_ctg::prelude::TaskGraph;
+use noc_eas::prelude::{apply_edits, apply_platform_edits, repair_from, Edit};
+use noc_svc::api::{DeltaResponse, ScheduleResponse};
 use noc_svc::client::Client;
+use noc_svc::spec::{parse_platform, parse_scheduler};
 use noc_svc::{Server, ServiceConfig};
 
 fn config() -> ServiceConfig {
@@ -404,4 +408,62 @@ fn shutdown_drains_admitted_jobs() {
         1
     );
     assert_eq!(engine.queue_depth(), 0);
+}
+
+/// `threads` in a request body is untrusted input. A count no host
+/// could spawn must neither size a thread pool nor change the answer:
+/// every scheduler that reads it answers 200 with the bytes the library
+/// computes at one thread, and so does a delta whose `eas` prior is not
+/// cached, so the service recomputes the prior under the same count.
+#[test]
+fn untrusted_thread_counts_answer_like_one_thread() {
+    let huge = u64::MAX;
+    let server = Server::start(config()).expect("starts");
+    let mut c = client(&server);
+    let platform = parse_platform("mesh:2x2").expect("platform");
+
+    let graph = graph_json(21, 12);
+    let parsed: TaskGraph = serde_json::from_str(&graph).expect("graph parses");
+    for name in ["eas", "eas-base", "anneal"] {
+        let body = format!(
+            r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"{name}","threads":{huge}}}"#
+        );
+        let resp = c.post("/v1/schedule", &body).expect("answers");
+        assert_eq!(resp.status, 200, "{name}: {}", resp.body);
+        let outcome = parse_scheduler(name, 1)
+            .expect("parses")
+            .schedule(&parsed, &platform)
+            .expect("schedules");
+        let expect = ScheduleResponse::from_outcome(name, &outcome).to_json();
+        assert_eq!(resp.body, expect, "{name}");
+    }
+
+    let prior_graph = graph_json(22, 12);
+    let edits = r#"[{"SetDeadline":{"task":2,"deadline":null}}]"#;
+    let body = format!(
+        r#"{{"prior":{},"edits":{edits},"threads":{huge}}}"#,
+        schedule_body(&prior_graph, "eas")
+    );
+    let resp = c.post("/v1/schedule/delta", &body).expect("answers");
+    assert_eq!(resp.status, 200, "delta: {}", resp.body);
+    let prior_graph: TaskGraph = serde_json::from_str(&prior_graph).expect("graph parses");
+    let prior = parse_scheduler("eas", 1)
+        .expect("parses")
+        .schedule(&prior_graph, &platform)
+        .expect("schedules");
+    let edits: Vec<Edit> = serde_json::from_str(edits).expect("edits parse");
+    let applied = apply_edits(&prior_graph, &edits).expect("edits apply");
+    let edited = apply_platform_edits(&platform, &applied.edits).expect("platform edits apply");
+    let delta = repair_from(&prior_graph, &prior.schedule, &edited, &applied).expect("repairs");
+    let expect = DeltaResponse {
+        warm_start: delta.warm_start,
+        reason: delta.reason.to_owned(),
+        edits: delta.edits,
+        mask_tasks: delta.mask_tasks,
+        result: ScheduleResponse::from_outcome("eas", &delta.outcome),
+    }
+    .to_json();
+    assert_eq!(resp.body, expect, "delta");
+
+    server.shutdown();
 }

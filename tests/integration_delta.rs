@@ -1,7 +1,6 @@
 //! Delta-scheduling integration tests: per-edit-kind mask computation,
 //! every forced fallback-to-full-reschedule path, and property tests
-//! that `repair_from` on random edit sequences always validates and is
-//! byte-identical across thread counts.
+//! that `repair_from` on random edit sequences always validates.
 
 use std::collections::BTreeSet;
 
@@ -295,7 +294,7 @@ fn single_edit_repair_warm_starts() {
         deadline: Some(200_000),
     }];
     let applied = apply_edits(&graph, &edits).expect("applies");
-    let delta = repair_from(&graph, &prior.schedule, &platform, &applied, 1).expect("repairs");
+    let delta = repair_from(&graph, &prior.schedule, &platform, &applied).expect("repairs");
     assert!(delta.warm_start);
     assert_eq!(delta.reason, REASON_WARM_START);
     assert_eq!(delta.edits, 1);
@@ -319,7 +318,7 @@ fn edit_storm_falls_back_to_full_reschedule() {
         })
         .collect();
     let applied = apply_edits(&graph, &edits).expect("applies");
-    let delta = repair_from(&graph, &prior.schedule, &platform, &applied, 1).expect("reschedules");
+    let delta = repair_from(&graph, &prior.schedule, &platform, &applied).expect("reschedules");
     assert!(!delta.warm_start);
     assert_eq!(delta.reason, REASON_EDIT_STORM);
     assert!(validate(&delta.outcome.schedule, &applied.graph, &platform).is_ok());
@@ -370,7 +369,6 @@ fn fallback_reasons_are_distinct_and_traced() {
         &prior.schedule,
         &platform,
         &applied,
-        1,
         &ComputeBudget::unlimited(),
         &mut sink,
     )
@@ -431,7 +429,7 @@ fn conflicting_insertion_reports_retime_deadlock() {
         }],
     }];
     let applied = apply_edits(&graph, &edits).expect("applies");
-    let delta = repair_from(&graph, &prior.schedule, &platform, &applied, 1).expect("reschedules");
+    let delta = repair_from(&graph, &prior.schedule, &platform, &applied).expect("reschedules");
     assert!(!delta.warm_start);
     assert_eq!(delta.reason, REASON_RETIME_DEADLOCK);
     assert!(validate(&delta.outcome.schedule, &applied.graph, &platform).is_ok());
@@ -568,7 +566,7 @@ proptest! {
         let edits = concrete_edits(&graph, &script);
         let applied = apply_edits(&graph, &edits).expect("edits apply by construction");
         let edited = apply_platform_edits(&platform, &applied.edits).expect("platform applies");
-        let delta = repair_from(&graph, &prior.schedule, &edited, &applied, 1)
+        let delta = repair_from(&graph, &prior.schedule, &edited, &applied)
             .expect("repairs");
         prop_assert!(validate(&delta.outcome.schedule, &applied.graph, &edited).is_ok());
         prop_assert_eq!(delta.edits, applied.edits.len());
@@ -580,31 +578,5 @@ proptest! {
         let full = as_set(applied.mask(&graph, &prior.schedule));
         prop_assert_eq!(union.len(), delta.mask_tasks);
         prop_assert_eq!(union, full);
-    }
-
-    /// The delta pipeline is thread-count independent: any worker count
-    /// produces byte-identical schedules and the same decision.
-    #[test]
-    fn repair_is_byte_identical_across_thread_counts(
-        cfg in tgff_config(),
-        script in prop::collection::vec((0u8..5, 0u64..u64::MAX, 0u64..u64::MAX), 1..6),
-        threads in 2usize..5,
-    ) {
-        let platform = mesh(2, 2);
-        let graph = TgffGenerator::new(cfg).generate(&platform).expect("generates");
-        let prior = EasScheduler::full().schedule(&graph, &platform).expect("schedules");
-        let edits = concrete_edits(&graph, &script);
-        let applied = apply_edits(&graph, &edits).expect("edits apply by construction");
-        let edited = apply_platform_edits(&platform, &applied.edits).expect("platform applies");
-        let serial = repair_from(&graph, &prior.schedule, &edited, &applied, 1)
-            .expect("serial repairs");
-        let parallel = repair_from(&graph, &prior.schedule, &edited, &applied, threads)
-            .expect("parallel repairs");
-        prop_assert_eq!(serial.warm_start, parallel.warm_start);
-        prop_assert_eq!(serial.reason, parallel.reason);
-        prop_assert_eq!(serial.mask_tasks, parallel.mask_tasks);
-        let lhs = serde_json::to_string(&serial.outcome.schedule).expect("serializes");
-        let rhs = serde_json::to_string(&parallel.outcome.schedule).expect("serializes");
-        prop_assert_eq!(lhs, rhs);
     }
 }

@@ -176,3 +176,101 @@ fn graph_platform_mismatch_is_surfaced() {
         })
     ));
 }
+
+/// 64-bit FNV-1a, the digest the golden-byte oracle pins.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One pinned run: the FNV-1a digest of the serialized schedule and the
+/// `(lts_accepted, gtm_accepted, trials)` repair counters.
+type Golden = (u64, (usize, usize, usize));
+
+fn golden(outcome: &ScheduleOutcome) -> Golden {
+    let json = serde_json::to_string(&outcome.schedule).expect("schedules serialize");
+    let r = outcome.repair;
+    (
+        fnv1a(json.as_bytes()),
+        (r.lts_accepted, r.gtm_accepted, r.trials),
+    )
+}
+
+/// A category-I TGFF graph resized to `tasks` at deadline `laxity`.
+fn tgff(platform: &Platform, seed: u64, tasks: usize, laxity: f64) -> TaskGraph {
+    let mut cfg = TgffConfig::category_i(seed);
+    cfg.task_count = tasks;
+    cfg.deadline_laxity = laxity;
+    TgffGenerator::new(cfg)
+        .generate(platform)
+        .expect("generates")
+}
+
+/// Digests pinned by [`schedules_and_repair_counters_match_golden_digests`],
+/// in its run order: EAS on the three svc_cold-like graphs, EAS on the
+/// three tight graphs, EAS-base on the svc_cold-like graphs, then the
+/// warm-start repair.
+const GOLDEN: [Golden; 10] = [
+    (0xf58cae58ab0b9e69, (0, 0, 0)),
+    (0xc5fb7c05d2dcaaa6, (0, 0, 0)),
+    (0xfde4ccce16983222, (0, 0, 0)),
+    (0x0d40be53824a717d, (7, 12, 1137)),
+    (0x305f61161c00ac90, (0, 3, 213)),
+    (0x8df2ef3835fc3f9b, (9, 2, 183)),
+    (0xf58cae58ab0b9e69, (0, 0, 0)),
+    (0xc5fb7c05d2dcaaa6, (0, 0, 0)),
+    (0xfde4ccce16983222, (0, 0, 0)),
+    (0x69cb6bd0a53d3da3, (2, 31, 1994)),
+];
+
+/// Golden-byte oracle for the scheduler hot path: F(i,k) evaluation,
+/// the trial cache, level selection, LTS/GTM candidate order and trial
+/// accounting all feed these digests, so any change that alters a
+/// schedule byte or a repair counter fails here.
+#[test]
+fn schedules_and_repair_counters_match_golden_digests() {
+    let p44 = mesh(4, 4);
+    let p22 = mesh(2, 2);
+    // Like svc_cold: category I on mesh:4x4, 60-250 tasks, laxity 2.6.
+    let cold = [(1, 60), (2, 160), (3, 250)].map(|(seed, n)| tgff(&p44, seed, n, 2.6));
+    // Tight 40-task graphs on mesh:2x2: level scheduling misses
+    // deadlines, so LTS and GTM both run.
+    let tight = [2, 3, 9].map(|seed| tgff(&p22, seed, 40, 0.9));
+
+    let mut got = Vec::new();
+    for g in &cold {
+        let out = EasScheduler::full().schedule(g, &p44).expect("eas");
+        got.push(golden(&out));
+    }
+    for g in &tight {
+        let out = EasScheduler::full().schedule(g, &p22).expect("eas");
+        got.push(golden(&out));
+    }
+    for g in &cold {
+        let out = EasScheduler::base().schedule(g, &p44).expect("eas-base");
+        got.push(golden(&out));
+    }
+    let prior = EasScheduler::full().schedule(&tight[0], &p22).expect("eas");
+    let edits = vec![
+        Edit::SetDeadline {
+            task: 5,
+            deadline: Some(1_500),
+        },
+        Edit::FailPe { pe: 3 },
+    ];
+    let applied = apply_edits(&tight[0], &edits).expect("edits apply");
+    let edited = apply_platform_edits(&p22, &applied.edits).expect("platform edits apply");
+    let delta = repair_from(&tight[0], &prior.schedule, &edited, &applied).expect("repairs");
+    assert!(delta.warm_start, "reason: {}", delta.reason);
+    got.push(golden(&delta.outcome));
+
+    let tight_runs = &got[3..6];
+    assert!(tight_runs.iter().any(|(_, (lts, _, _))| *lts > 0));
+    assert!(tight_runs.iter().any(|(_, (_, gtm, _))| *gtm > 0));
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(d, (l, g, t))| format!("    ({d:#018x}, ({l}, {g}, {t})),"))
+        .collect();
+    assert_eq!(got, GOLDEN, "actual:\n{}", rendered.join("\n"));
+}

@@ -83,31 +83,14 @@ proptest! {
         prop_assert!(validate(&full.schedule, &graph, &platform).is_ok());
     }
 
-    /// The parallel scheduling engine is bit-identical to the serial one
-    /// on every workload and thread count: same schedule, same energy,
-    /// same deadline misses, same repair statistics.
-    #[test]
-    fn parallel_scheduling_matches_serial(cfg in tgff_config(), threads in 2usize..8) {
-        let platform = platform(4, 4);
-        let graph = TgffGenerator::new(cfg).generate(&platform).expect("generates");
-        let serial = EasScheduler::new(EasConfig::default())
-            .schedule(&graph, &platform).expect("serial");
-        let parallel = EasScheduler::new(EasConfig::default().with_threads(threads))
-            .schedule(&graph, &platform).expect("parallel");
-        prop_assert_eq!(&parallel.schedule, &serial.schedule);
-        prop_assert_eq!(parallel.stats.energy.total(), serial.stats.energy.total());
-        prop_assert_eq!(&parallel.report.deadline_misses, &serial.report.deadline_misses);
-        prop_assert_eq!(parallel.repair, serial.repair);
-    }
-
     /// Tracing is pure observation: a traced run yields a schedule
-    /// byte-identical to the untraced run on every workload and thread
-    /// count, and the trace itself is non-empty.
+    /// byte-identical to the untraced run on every workload, and the
+    /// trace itself is non-empty.
     #[test]
-    fn tracing_never_perturbs_the_schedule(cfg in tgff_config(), threads in 1usize..5) {
+    fn tracing_never_perturbs_the_schedule(cfg in tgff_config()) {
         let platform = platform(4, 4);
         let graph = TgffGenerator::new(cfg).generate(&platform).expect("generates");
-        let scheduler = EasScheduler::new(EasConfig::default().with_threads(threads));
+        let scheduler = EasScheduler::full();
         let plain = scheduler.schedule(&graph, &platform).expect("plain");
         let mut sink = BufferSink::new();
         let traced = scheduler

@@ -23,10 +23,17 @@ fn workload(seed: u64, tasks: usize) -> TaskGraph {
         .expect("generates")
 }
 
-/// Runs a traced schedule with `threads` workers and returns the JSONL
-/// export of its logical-timestamp event stream.
+/// Runs a traced anneal — the full EAS pipeline as its warm start, then
+/// three restart chains, the one stage `--threads` still fans out — on
+/// `threads` workers and returns the JSONL export of its
+/// logical-timestamp event stream.
 fn jsonl_for(graph: &TaskGraph, platform: &Platform, threads: usize) -> String {
-    let scheduler = EasScheduler::new(EasConfig::default().with_threads(threads));
+    let scheduler = AnnealScheduler::new(AnnealConfig {
+        iterations: 400,
+        restarts: 3,
+        threads,
+        ..AnnealConfig::default()
+    });
     let mut sink = BufferSink::new();
     scheduler
         .schedule_traced(graph, platform, &ComputeBudget::unlimited(), &mut sink)
