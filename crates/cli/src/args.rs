@@ -1,6 +1,8 @@
 //! A small dependency-free argument parser: `--key value` options,
 //! `--flag` booleans, and free-standing positionals (verbs like
-//! `cluster status`) after a subcommand.
+//! `cluster status`) after a subcommand. Each subcommand declares the
+//! options and flags it reads ([`Args::accept`]); anything else on its
+//! command line is an error, never silently ignored.
 
 use std::collections::HashMap;
 
@@ -89,6 +91,47 @@ impl Args {
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Checks the command line against what `command` reads:
+    /// `options` (space-separated names) take a value, `flags` take
+    /// none. Subcommands call this before reading a file or binding a
+    /// socket.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending option and `command`: an option the
+    /// subcommand does not read, a known option without a value, or a
+    /// flag given a value.
+    pub fn accept(&self, command: &str, options: &str, flags: &str) -> Result<(), String> {
+        let is_option = |key: &str| options.split_whitespace().any(|k| k == key);
+        let is_flag = |key: &str| flags.split_whitespace().any(|k| k == key);
+        let mut valued: Vec<&String> = self.options.keys().collect();
+        valued.sort(); // the error must not depend on hash order
+        for key in valued {
+            if is_flag(key) {
+                return Err(format!(
+                    "--{key} takes no value, got `{}` (noceas {command})",
+                    self.options[key]
+                ));
+            }
+            if !is_option(key) {
+                return Err(unknown_option(key, command));
+            }
+        }
+        for key in &self.flags {
+            if is_option(key) {
+                return Err(format!("option --{key} needs a value (noceas {command})"));
+            }
+            if !is_flag(key) {
+                return Err(unknown_option(key, command));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn unknown_option(key: &str, command: &str) -> String {
+    format!("unknown option --{key} for `noceas {command}`; try `noceas help`")
 }
 
 #[cfg(test)]
@@ -135,6 +178,33 @@ mod tests {
         assert!(a.get_num::<u32>("x", 9).unwrap() == 1);
         let bad = parse(&["run", "--x", "NaNsense"]).unwrap();
         assert!(bad.get_num::<u32>("x", 0).is_err());
+    }
+
+    #[test]
+    fn accept_rejects_undeclared_and_misused_options() {
+        let a = parse(&["schedule", "--graph", "g.json", "--gantt"]).unwrap();
+        assert!(a.accept("schedule", "graph out", "gantt json").is_ok());
+        let err = a.accept("schedule", "graph", "").unwrap_err();
+        assert!(
+            err.contains("--gantt") && err.contains("noceas schedule"),
+            "{err}"
+        );
+        let typo = parse(&["schedule", "--schedular", "edf"]).unwrap();
+        let err = typo.accept("schedule", "scheduler", "").unwrap_err();
+        assert!(
+            err.contains("unknown option --schedular for `noceas schedule`"),
+            "{err}"
+        );
+        let dangling = parse(&["schedule", "--out"]).unwrap();
+        assert!(dangling
+            .accept("schedule", "out", "")
+            .unwrap_err()
+            .contains("--out needs a value"));
+        let valued_flag = parse(&["schedule", "--json", "yes"]).unwrap();
+        assert!(valued_flag
+            .accept("schedule", "", "json")
+            .unwrap_err()
+            .contains("--json takes no value"));
     }
 
     #[test]

@@ -81,14 +81,17 @@ USAGE:
   noceas serve [--addr 127.0.0.1:8533] [--http-workers N]
                [--sched-workers N] [--queue N] [--cache N] [--threads N]
                [--budget-ms MS] [--journal PATH] [--store-dir DIR]
-               [--store-segment-bytes N] [--net reactor|thread]
+               [--store-segment-bytes N]
                [--peers ADDR,ADDR,...] [--self-addr ADDR]
                [--peer-timeout-ms MS] [--probe-ms MS] [--anti-entropy-ms MS]
                [--flight-recorder-entries N] [--slow-ms MS] [--log-json PATH]
       Run the scheduling service: POST /v1/schedule, POST /v1/validate,
-      GET /v1/jobs/<id>, GET /healthz, GET /metrics. The job queue is
-      bounded at --queue entries (429 + Retry-After past it) and
-      responses are cached content-addressed in --cache entries.
+      GET /v1/jobs/<id>, GET /healthz, GET /metrics. --http-workers
+      poll(2) event loops multiplex every connection, so tens of
+      thousands of idle keep-alive clients cost no extra threads. The
+      job queue is bounded at --queue entries (429 + Retry-After past
+      it) and responses are cached content-addressed in --cache
+      entries.
       --budget-ms bounds each request's scheduler; past the budget the
       service answers the degraded energy-blind EDF fallback, marked
       \"degraded\":true plus a Degraded-Mode header, instead of a 500.
@@ -102,11 +105,6 @@ USAGE:
       (Store-Degraded header + noc_svc_store_degraded metric) instead
       of failing requests. --store-segment-bytes caps a segment before
       rotation (default 8 MiB).
-      --net picks the entry path: the default `reactor` multiplexes
-      every connection over poll(2) event loops (tens of thousands of
-      idle keep-alive clients on --http-workers threads); `thread`
-      keeps the original blocking thread-per-connection pool. The two
-      answer byte-identically.
       --peers runs multi-node: requests hash onto a consistent-hash
       ring over the peer list, cache misses probe the owning peer
       before computing locally, done-records replicate to the ring
@@ -197,7 +195,10 @@ pub fn run(args: &Args) -> Result<String, String> {
         "dot" => dot(args),
         "info" => info(args),
         "import" => import(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
+        "help" | "--help" | "-h" => {
+            args.accept("help", "", "")?;
+            Ok(USAGE.to_owned())
+        }
         other => Err(format!("unknown subcommand `{other}`; try `noceas help`")),
     }
 }
@@ -218,6 +219,7 @@ fn save_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {
 }
 
 fn generate(args: &Args) -> Result<String, String> {
+    args.accept("generate", "platform seed tasks laxity out", "")?;
     let platform = parse_platform(args.require("platform")?)?;
     let mut cfg = TgffConfig::category_i(args.get_num("seed", 0u64)?);
     cfg.task_count = args.get_num("tasks", 100usize)?;
@@ -238,6 +240,7 @@ fn generate(args: &Args) -> Result<String, String> {
 }
 
 fn benchmark(args: &Args) -> Result<String, String> {
+    args.accept("benchmark", "app load clip ratio out", "")?;
     // Extension apps take a --load profile instead of a --clip.
     if let Some(app) = match args.require("app")? {
         "ofdm-transceiver" => Some(noc_ctg::apps::ExtensionApp::OfdmTransceiver),
@@ -289,6 +292,11 @@ fn benchmark(args: &Args) -> Result<String, String> {
 }
 
 fn schedule(args: &Args) -> Result<String, String> {
+    args.accept(
+        "schedule",
+        "graph platform scheduler faults threads budget-ms out vcd trace trace-format",
+        "gantt links csv json",
+    )?;
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
     let threads: usize = args.get_num("threads", 1)?;
@@ -428,6 +436,11 @@ fn schedule(args: &Args) -> Result<String, String> {
 }
 
 fn explain_cmd(args: &Args) -> Result<String, String> {
+    args.accept(
+        "explain",
+        "graph platform scheduler faults threads task",
+        "",
+    )?;
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
     let threads: usize = args.get_num("threads", 1)?;
@@ -473,6 +486,11 @@ fn explain_cmd(args: &Args) -> Result<String, String> {
 
 fn delta_cmd(args: &Args) -> Result<String, String> {
     use noc_eas::prelude::{apply_edits, apply_platform_edits, repair_from_traced, Edit};
+    args.accept(
+        "delta",
+        "graph schedule platform edits faults budget-ms out",
+        "json explain",
+    )?;
     let base_platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let prior_graph = load_graph(args.require("graph")?)?;
     let prior_schedule = load_schedule(args.require("schedule")?)?;
@@ -558,6 +576,7 @@ fn delta_cmd(args: &Args) -> Result<String, String> {
 }
 
 fn validate_cmd(args: &Args) -> Result<String, String> {
+    args.accept("validate", "graph schedule platform faults", "json")?;
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
     let schedule = load_schedule(args.require("schedule")?)?;
@@ -575,11 +594,13 @@ fn validate_cmd(args: &Args) -> Result<String, String> {
 }
 
 fn serve(args: &Args) -> Result<String, String> {
-    let net = match args.get_or("net", "reactor") {
-        "reactor" => noc_svc::NetMode::Reactor,
-        "thread" => noc_svc::NetMode::Thread,
-        other => return Err(format!("bad --net `{other}` (reactor|thread)")),
-    };
+    args.accept(
+        "serve",
+        "addr http-workers sched-workers queue cache threads budget-ms journal \
+         store-dir store-segment-bytes peers self-addr peer-timeout-ms probe-ms \
+         anti-entropy-ms flight-recorder-entries slow-ms log-json",
+        "",
+    )?;
     let peers = match args.get("peers") {
         None => Vec::new(),
         Some(list) => list
@@ -591,7 +612,6 @@ fn serve(args: &Args) -> Result<String, String> {
     };
     let config = noc_svc::ServiceConfig {
         addr: args.get_or("addr", "127.0.0.1:8533").to_owned(),
-        net,
         peers,
         self_addr: args.get("self-addr").map(str::to_owned),
         http_workers: args.get_num("http-workers", 4usize)?,
@@ -631,6 +651,11 @@ fn serve(args: &Args) -> Result<String, String> {
 }
 
 fn simulate(args: &Args) -> Result<String, String> {
+    args.accept(
+        "simulate",
+        "graph schedule platform faults buffers hop-latency",
+        "",
+    )?;
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
     let schedule = load_schedule(args.require("schedule")?)?;
@@ -657,11 +682,13 @@ fn simulate(args: &Args) -> Result<String, String> {
 }
 
 fn dot(args: &Args) -> Result<String, String> {
+    args.accept("dot", "graph", "")?;
     let graph = load_graph(args.require("graph")?)?;
     Ok(noc_ctg::dot::to_dot(&graph))
 }
 
 fn import(args: &Args) -> Result<String, String> {
+    args.accept("import", "tgff platform out", "")?;
     let platform = parse_platform(args.require("platform")?)?;
     let path = args.require("tgff")?;
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -688,6 +715,34 @@ fn cluster_cmd(args: &Args) -> Result<String, String> {
         .first()
         .map(String::as_str)
         .ok_or("cluster needs a verb: status, trace ID, or slow")?;
+    match verb {
+        "status" => {
+            args.accept("cluster status", "nodes", "")?;
+            expect_extra_positionals(args, 1)?;
+            cluster_status(&cluster_nodes(args)?)
+        }
+        "trace" => {
+            args.accept("cluster trace", "nodes", "")?;
+            let id = args
+                .positionals
+                .get(1)
+                .ok_or("cluster trace needs the trace id (from an X-Noc-Trace header)")?;
+            expect_extra_positionals(args, 2)?;
+            cluster_trace(&cluster_nodes(args)?, id)
+        }
+        "slow" => {
+            args.accept("cluster slow", "nodes", "")?;
+            expect_extra_positionals(args, 1)?;
+            cluster_slow(&cluster_nodes(args)?)
+        }
+        other => Err(format!(
+            "unknown cluster verb `{other}` (expected status, trace or slow)"
+        )),
+    }
+}
+
+/// The `--nodes` address list every cluster verb fans out to.
+fn cluster_nodes(args: &Args) -> Result<Vec<String>, String> {
     let nodes: Vec<String> = args
         .require("nodes")?
         .split(',')
@@ -698,27 +753,7 @@ fn cluster_cmd(args: &Args) -> Result<String, String> {
     if nodes.is_empty() {
         return Err("--nodes lists no addresses".into());
     }
-    match verb {
-        "status" => {
-            expect_extra_positionals(args, 1)?;
-            cluster_status(&nodes)
-        }
-        "trace" => {
-            let id = args
-                .positionals
-                .get(1)
-                .ok_or("cluster trace needs the trace id (from an X-Noc-Trace header)")?;
-            expect_extra_positionals(args, 2)?;
-            cluster_trace(&nodes, id)
-        }
-        "slow" => {
-            expect_extra_positionals(args, 1)?;
-            cluster_slow(&nodes)
-        }
-        other => Err(format!(
-            "unknown cluster verb `{other}` (expected status, trace or slow)"
-        )),
-    }
+    Ok(nodes)
 }
 
 fn expect_extra_positionals(args: &Args, used: usize) -> Result<(), String> {
@@ -989,6 +1024,7 @@ fn cluster_slow(nodes: &[String]) -> Result<String, String> {
 }
 
 fn info(args: &Args) -> Result<String, String> {
+    args.accept("info", "graph bandwidth", "")?;
     let graph = load_graph(args.require("graph")?)?;
     let bandwidth = args.get_num("bandwidth", 32.0f64)?;
     if bandwidth <= 0.0 {
@@ -1237,6 +1273,44 @@ mod tests {
     fn stray_positionals_still_fail_outside_cluster() {
         let err = run(&args(&["schedule", "stray"])).unwrap_err();
         assert!(err.contains("unexpected positional argument `stray`"));
+    }
+
+    #[test]
+    fn unknown_options_fail_before_any_work() {
+        // The graph path does not exist: the typo must be reported
+        // before any file is read.
+        let err = run(&args(&[
+            "schedule",
+            "--graph",
+            "/nonexistent/g.json",
+            "--platform",
+            "mesh:2x2",
+            "--schedular",
+            "edf",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("--schedular") && err.contains("noceas schedule"),
+            "got {err}"
+        );
+        // `serve` would block forever once bound, and this port is
+        // taken: an error naming the option proves nothing was bound.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = taken.local_addr().expect("addr").to_string();
+        let err = run(&args(&["serve", "--addr", &addr, "--net", "thread"])).unwrap_err();
+        assert!(
+            err.contains("unknown option --net for `noceas serve`"),
+            "got {err}"
+        );
+        let err = run(&args(&[
+            "cluster",
+            "status",
+            "--nodes",
+            "127.0.0.1:9",
+            "--verbose",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("noceas cluster status"), "got {err}");
     }
 
     #[test]

@@ -52,6 +52,7 @@ use crate::journal::{Journal, Record};
 use crate::metrics::Metrics;
 use crate::obs::{span_us, LogLevel, Recorder, ServiceLog, TraceCtx};
 use crate::queue::{JobQueue, PushError};
+use crate::spec::PlatformSpec;
 use crate::store::{Store, StoreConfig, StoreStats, TieredStore};
 
 /// Finished jobs kept for `GET /v1/jobs/<id>` before the oldest are
@@ -658,10 +659,10 @@ impl Engine {
 
     /// Resolves a parsed request into runnable work + its cache key.
     fn resolve(&self, request: &ScheduleRequest) -> Result<(JobWork, String), String> {
-        let platform =
-            crate::spec::parse_platform_faulted(&request.platform, request.faults.as_deref())?;
+        let spec = PlatformSpec::parse(&request.platform, request.faults.as_deref())?;
         let graph =
             TaskGraph::from_value(&request.graph).map_err(|e| format!("invalid graph: {e}"))?;
+        let platform = spec.build_for(graph.pe_count())?;
         let threads = request.threads.unwrap_or(self.config.threads);
         let scheduler_name = request.scheduler_name().to_owned();
         let scheduler = crate::spec::parse_scheduler(&scheduler_name, threads)?;
@@ -681,10 +682,10 @@ impl Engine {
     /// `(prior request hash, canonical edits)`.
     fn resolve_delta(&self, request: &DeltaRequest) -> Result<(JobWork, String), String> {
         let prior = request.prior_request()?;
-        let prior_platform =
-            crate::spec::parse_platform_faulted(&prior.platform, prior.faults.as_deref())?;
+        let prior_spec = PlatformSpec::parse(&prior.platform, prior.faults.as_deref())?;
         let prior_graph =
             TaskGraph::from_value(&prior.graph).map_err(|e| format!("invalid prior graph: {e}"))?;
+        let prior_platform = prior_spec.build_for(prior_graph.pe_count())?;
         let threads = request.threads.unwrap_or(self.config.threads);
         let prior_scheduler_name = prior.scheduler_name().to_owned();
         let prior_scheduler = crate::spec::parse_scheduler(&prior_scheduler_name, threads)?;
@@ -941,11 +942,11 @@ impl Engine {
     pub fn validate(&self, body: &str) -> Result<ValidateResponse, (u16, String)> {
         let request: ValidateRequest =
             serde_json::from_str(body).map_err(|e| (400, format!("invalid request body: {e}")))?;
-        let platform =
-            crate::spec::parse_platform_faulted(&request.platform, request.faults.as_deref())
-                .map_err(|e| (422, e))?;
+        let spec = PlatformSpec::parse(&request.platform, request.faults.as_deref())
+            .map_err(|e| (422, e))?;
         let graph = TaskGraph::from_value(&request.graph)
             .map_err(|e| (422, format!("invalid graph: {e}")))?;
+        let platform = spec.build_for(graph.pe_count()).map_err(|e| (422, e))?;
         let schedule = noc_schedule::Schedule::from_value(&request.schedule)
             .map_err(|e| (422, format!("invalid schedule: {e}")))?;
         Ok(match noc_schedule::validate(&schedule, &graph, &platform) {

@@ -12,7 +12,8 @@
 //!
 //! # On-disk format
 //!
-//! A flat sequence of length-prefixed, checksummed frames:
+//! A flat sequence of length-prefixed, checksummed frames, encoded and
+//! scanned by the store's segment codec ([`crate::store::segment`]):
 //!
 //! ```text
 //! [u32 LE payload length][u64 LE FNV-1a checksum][JSON payload]
@@ -34,10 +35,7 @@ use std::sync::Mutex;
 
 use serde::{Map, Value};
 
-use crate::hash::fnv1a64;
-
-/// Bytes of frame header: u32 length + u64 checksum.
-const FRAME_HEADER: usize = 4 + 8;
+use crate::store::segment;
 
 /// One journal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,17 +157,7 @@ impl Record {
 /// Encodes one record as a complete frame: length prefix, checksum,
 /// JSON payload.
 fn encode_frame(record: &Record) -> Vec<u8> {
-    let payload = record.to_json();
-    let bytes = payload.as_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER + bytes.len());
-    frame.extend_from_slice(
-        &u32::try_from(bytes.len())
-            .expect("record fits u32")
-            .to_le_bytes(),
-    );
-    frame.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
-    frame.extend_from_slice(bytes);
-    frame
+    segment::encode_frame(record.to_json().as_bytes())
 }
 
 /// An open journal file; appends are serialized through a mutex.
@@ -198,30 +186,15 @@ impl Journal {
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
 
-        let mut records = Vec::new();
-        let mut offset = 0usize;
-        while let Some(header) = buf.get(offset..offset + FRAME_HEADER) {
-            let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-            let sum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
-            let Some(payload) = buf.get(offset + FRAME_HEADER..offset + FRAME_HEADER + len) else {
-                break;
-            };
-            if fnv1a64(payload) != sum {
-                break;
-            }
-            let Some(record) = std::str::from_utf8(payload)
+        let scan = segment::scan_frames(&buf, |payload| {
+            std::str::from_utf8(payload)
                 .ok()
                 .and_then(Record::from_json)
-            else {
-                break;
-            };
-            records.push(record);
-            offset += FRAME_HEADER + len;
+        });
+        if scan.valid_len != buf.len() as u64 {
+            file.set_len(scan.valid_len)?;
         }
-
-        if offset as u64 != buf.len() as u64 {
-            file.set_len(offset as u64)?;
-        }
+        let records = scan.records.into_iter().map(|f| f.record).collect();
         file.seek(SeekFrom::End(0))?;
         Ok((
             Journal {
@@ -372,6 +345,36 @@ mod tests {
         std::fs::write(&tmp.0, &bytes).expect("writes");
         let (_journal, replayed) = Journal::open(&tmp.0).expect("recovers");
         assert_eq!(replayed, sample()[..2], "corrupt record is dropped");
+    }
+
+    #[test]
+    fn absurd_length_prefix_is_truncated_and_appendable() {
+        let tmp = TempJournal::new("absurd-length");
+        let (journal, _) = Journal::open(&tmp.0).expect("opens");
+        for r in sample() {
+            journal.append(&r).expect("appends");
+        }
+        drop(journal);
+        // A last frame whose length prefix claims ~4 GiB: the scan must
+        // stop before it rather than trust (or allocate for) it.
+        let mut bytes = std::fs::read(&tmp.0).expect("reads");
+        let intact = bytes.len() as u64;
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0xab; 8 + 32]);
+        std::fs::write(&tmp.0, &bytes).expect("writes");
+
+        let (journal, replayed) = Journal::open(&tmp.0).expect("recovers");
+        assert_eq!(replayed, sample(), "the valid prefix replays");
+        assert_eq!(std::fs::metadata(&tmp.0).expect("meta").len(), intact);
+        let extra = Record::Failed {
+            id: "c3".into(),
+            error: "later".into(),
+        };
+        journal.append(&extra).expect("appends after recovery");
+        drop(journal);
+        let (_journal, replayed) = Journal::open(&tmp.0).expect("reopens");
+        assert_eq!(replayed.len(), 4);
+        assert_eq!(replayed[3], extra);
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub struct Metrics {
     /// `noc_svc_cluster_*` family is omitted until then.
     cluster: OnceLock<Arc<ClusterStats>>,
     /// Gauges and counters of the nonblocking reactor, set once when
-    /// the reactor entry path starts; the `noc_svc_reactor_*` family
-    /// is omitted under `--net thread`.
+    /// a server starts its event loops; the `noc_svc_reactor_*` family
+    /// is omitted for an engine run without a server.
     reactor: OnceLock<Arc<ReactorStats>>,
     /// Current job-queue depth (gauge, maintained by the engine).
     pub queue_depth: AtomicU64,

@@ -22,7 +22,8 @@ pub(crate) const MAX_PIPELINE: usize = 32;
 enum Slot {
     /// The request was dispatched to the scheduler; bytes arrive via
     /// the loop's inbox. The keep-alive decision was made at parse
-    /// time so the rendered bytes match the threaded path exactly.
+    /// time, so a shutdown that starts while the job runs does not
+    /// change the rendered `Connection` header.
     Pending {
         /// Whether this response advertises `keep-alive`.
         keep_alive: bool,
@@ -182,10 +183,10 @@ impl Conn {
                 }
                 Ok(None) => break,
                 Err(err) => {
-                    // Parse failures (400/413) get the same terminal
-                    // responses as the threaded path; the reactor
-                    // renders them via `take_protocol_error` and the
-                    // connection closes once they flush.
+                    // Parse failures (400/413) get terminal responses:
+                    // the reactor renders them via
+                    // `take_protocol_error` and the connection closes
+                    // once they flush.
                     self.closing = true;
                     self.protocol_error = Some(err);
                     break;

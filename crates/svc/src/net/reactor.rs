@@ -155,7 +155,6 @@ fn handle_readable(ctx: &LoopCtx, token: u64, conn: &mut Conn) -> Fate {
         dispatch(ctx, token, conn, &request, stopping)
     });
     if let Some(err) = conn.take_protocol_error() {
-        // Byte-identical to the threaded path's terminal responses.
         let response = match err {
             ReadError::BodyTooLarge(n) => Response::json(
                 413,
@@ -164,9 +163,6 @@ fn handle_readable(ctx: &LoopCtx, token: u64, conn: &mut Conn) -> Fate {
             ReadError::Malformed(msg) => {
                 Response::json(400, error_body(&format!("malformed request: {msg}")))
             }
-            // `parse_request` never times out or disconnects; close
-            // without an answer if it somehow surfaces here.
-            ReadError::TimedOut | ReadError::Disconnected => return Fate::Close,
         };
         ctx.engine
             .metrics

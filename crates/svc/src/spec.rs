@@ -44,48 +44,99 @@ pub fn parse_faults(spec: &str) -> Result<FaultSet, String> {
 /// fault sets that reference missing resources or disconnect the
 /// surviving tiles.
 pub fn parse_platform_faulted(spec: &str, faults: Option<&str>) -> Result<Platform, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if parts.len() < 2 || parts.len() > 3 {
-        return Err(format!(
-            "platform spec `{spec}` must look like mesh:4x4 or torus:3x3:yx"
-        ));
+    PlatformSpec::parse(spec, faults)?.build()
+}
+
+/// Largest platform the service builds for a request, in tiles: a
+/// 16×16 grid. Building computes the all-pairs route table, so its
+/// cost grows with the square of the tile count; the experiments use
+/// at most 6×6.
+pub(crate) const MAX_SERVICE_TILES: usize = 256;
+
+/// A platform spec parsed but not yet built, so its size can be
+/// checked before anything is allocated for it.
+pub(crate) struct PlatformSpec {
+    topology: TopologySpec,
+    routing: RoutingSpec,
+    faults: Option<FaultSet>,
+}
+
+impl PlatformSpec {
+    /// Parses the spec and fault-set strings of [`parse_platform_faulted`].
+    pub(crate) fn parse(spec: &str, faults: Option<&str>) -> Result<PlatformSpec, String> {
+        let parts: Vec<&str> = spec.split(':').collect();
+        if parts.len() < 2 || parts.len() > 3 {
+            return Err(format!(
+                "platform spec `{spec}` must look like mesh:4x4 or torus:3x3:yx"
+            ));
+        }
+        let dims: Vec<&str> = parts[1].split('x').collect();
+        if dims.len() != 2 {
+            return Err(format!("dimensions `{}` must look like 4x4", parts[1]));
+        }
+        let cols: u16 = dims[0]
+            .parse()
+            .map_err(|_| format!("bad column count `{}`", dims[0]))?;
+        let rows: u16 = dims[1]
+            .parse()
+            .map_err(|_| format!("bad row count `{}`", dims[1]))?;
+        let topology = match parts[0] {
+            "mesh" => TopologySpec::mesh(cols, rows),
+            "torus" => TopologySpec::torus(cols, rows),
+            "honeycomb" => TopologySpec::honeycomb(cols, rows),
+            other => return Err(format!("unknown topology `{other}`")),
+        };
+        let default_routing = if parts[0] == "honeycomb" {
+            RoutingSpec::ShortestPath
+        } else {
+            RoutingSpec::Xy
+        };
+        let routing = match parts.get(2) {
+            None => default_routing,
+            Some(&"xy") => RoutingSpec::Xy,
+            Some(&"yx") => RoutingSpec::Yx,
+            Some(&"bfs") => RoutingSpec::ShortestPath,
+            Some(other) => return Err(format!("unknown routing `{other}` (use xy, yx or bfs)")),
+        };
+        Ok(PlatformSpec {
+            topology,
+            routing,
+            faults: faults.map(parse_faults).transpose()?,
+        })
     }
-    let dims: Vec<&str> = parts[1].split('x').collect();
-    if dims.len() != 2 {
-        return Err(format!("dimensions `{}` must look like 4x4", parts[1]));
+
+    /// Builds the platform for a graph targeting `graph_pes` PEs. It
+    /// first checks, without building anything, that the spec has
+    /// exactly that many tiles and at most [`MAX_SERVICE_TILES`], so an
+    /// untrusted spec can neither stall an event loop nor exhaust
+    /// memory.
+    pub(crate) fn build_for(self, graph_pes: usize) -> Result<Platform, String> {
+        let tiles = self.topology.tile_count();
+        if graph_pes != tiles {
+            return Err(SchedulerError::PeCountMismatch {
+                graph: graph_pes,
+                platform: tiles,
+            }
+            .to_string());
+        }
+        if tiles > MAX_SERVICE_TILES {
+            return Err(format!(
+                "platform has {tiles} tiles; the service builds at most {MAX_SERVICE_TILES} (16x16)"
+            ));
+        }
+        self.build()
     }
-    let cols: u16 = dims[0]
-        .parse()
-        .map_err(|_| format!("bad column count `{}`", dims[0]))?;
-    let rows: u16 = dims[1]
-        .parse()
-        .map_err(|_| format!("bad row count `{}`", dims[1]))?;
-    let topology = match parts[0] {
-        "mesh" => TopologySpec::mesh(cols, rows),
-        "torus" => TopologySpec::torus(cols, rows),
-        "honeycomb" => TopologySpec::honeycomb(cols, rows),
-        other => return Err(format!("unknown topology `{other}`")),
-    };
-    let default_routing = if parts[0] == "honeycomb" {
-        RoutingSpec::ShortestPath
-    } else {
-        RoutingSpec::Xy
-    };
-    let routing = match parts.get(2) {
-        None => default_routing,
-        Some(&"xy") => RoutingSpec::Xy,
-        Some(&"yx") => RoutingSpec::Yx,
-        Some(&"bfs") => RoutingSpec::ShortestPath,
-        Some(other) => return Err(format!("unknown routing `{other}` (use xy, yx or bfs)")),
-    };
-    let mut builder = Platform::builder()
-        .topology(topology)
-        .routing(routing)
-        .pe_mix(PeCatalog::date04().cycle_mix());
-    if let Some(f) = faults {
-        builder = builder.faults(parse_faults(f)?);
+
+    fn build(self) -> Result<Platform, String> {
+        let mut builder = Platform::builder()
+            .topology(self.topology)
+            .routing(self.routing)
+            .pe_mix(PeCatalog::date04().cycle_mix());
+        if let Some(faults) = self.faults {
+            builder = builder.faults(faults);
+        }
+        builder.build().map_err(|e| e.to_string())
     }
-    builder.build().map_err(|e| e.to_string())
 }
 
 /// A chaos-testing scheduler that always panics mid-schedule. It exists

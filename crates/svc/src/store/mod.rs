@@ -37,7 +37,7 @@
 
 pub mod fault;
 mod index;
-mod segment;
+pub(crate) mod segment;
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -204,7 +204,7 @@ impl Store {
                         .records
                         .iter()
                         .map(|r| IndexEntry {
-                            lanes: r.lanes,
+                            lanes: r.record,
                             offset: r.offset,
                             len: r.len,
                         })
@@ -241,7 +241,7 @@ impl Store {
         let mut active_entries = Vec::with_capacity(scan.records.len());
         for r in &scan.records {
             index.insert(
-                lane_key(r.lanes),
+                lane_key(r.record),
                 Loc {
                     seq: active_seq,
                     offset: r.offset,
@@ -249,7 +249,7 @@ impl Store {
                 },
             );
             active_entries.push(IndexEntry {
-                lanes: r.lanes,
+                lanes: r.record,
                 offset: r.offset,
                 len: r.len,
             });

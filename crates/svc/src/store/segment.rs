@@ -1,9 +1,11 @@
-//! Segment-file framing for the persistent schedule store.
+//! Segment-file framing for the persistent schedule store, and the
+//! frame codec both durable logs share.
 //!
 //! A segment is a flat append-only sequence of checksummed,
-//! length-prefixed frames — the same framing discipline as the job
-//! journal ([`crate::journal`]), with a binary payload instead of JSON
-//! so multi-kilobyte response bodies round-trip without escaping:
+//! length-prefixed frames. The job journal ([`crate::journal`]) writes
+//! and scans the same frames ([`encode_frame`], [`scan_frames`]) with a
+//! JSON payload; a segment's payload is binary, so multi-kilobyte
+//! response bodies round-trip without escaping:
 //!
 //! ```text
 //! frame   := [u32 LE payload length][u64 LE FNV-1a(payload)][payload]
@@ -44,6 +46,20 @@ fn push_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Wraps `payload` in one complete frame, ready for a single append:
+/// length prefix, FNV-1a checksum, payload.
+pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(
+        &u32::try_from(payload.len())
+            .expect("payload fits u32")
+            .to_le_bytes(),
+    );
+    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
 /// Encodes one `(key, output)` record as a complete frame ready for a
 /// single append.
 pub(crate) fn encode_record(key: &str, output: &JobOutput) -> Vec<u8> {
@@ -60,16 +76,7 @@ pub(crate) fn encode_record(key: &str, output: &JobOutput) -> Vec<u8> {
     payload.push(flags);
     push_chunk(&mut payload, output.body.as_bytes());
     push_chunk(&mut payload, stats.as_bytes());
-
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("payload fits u32")
-            .to_le_bytes(),
-    );
-    frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    encode_frame(&payload)
 }
 
 /// A cursor over a payload's chunks.
@@ -115,42 +122,45 @@ fn decode_payload(payload: &[u8]) -> Option<(String, JobOutput)> {
     Some((key, output))
 }
 
+/// The payload of one complete frame, if its header matches its length
+/// and checksum.
+fn frame_payload(frame: &[u8]) -> Option<&[u8]> {
+    let header = frame.get(..FRAME_HEADER)?;
+    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
+    let sum = u64::from_le_bytes(header[4..].try_into().ok()?);
+    let payload = frame.get(FRAME_HEADER..FRAME_HEADER + len)?;
+    (FRAME_HEADER + len == frame.len() && fnv1a64(payload) == sum).then_some(payload)
+}
+
 /// Decodes one complete frame (header + payload, exactly as long as the
 /// index says). Returns `None` — never panics — on any mismatch: short
 /// buffer, bad length, checksum failure, undecodable payload. A `None`
 /// from here is what quarantines a record at read time.
 pub(crate) fn decode_frame(frame: &[u8]) -> Option<(String, JobOutput)> {
-    let header = frame.get(..FRAME_HEADER)?;
-    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
-    let sum = u64::from_le_bytes(header[4..].try_into().ok()?);
-    let payload = frame.get(FRAME_HEADER..FRAME_HEADER + len)?;
-    if FRAME_HEADER + len != frame.len() || fnv1a64(payload) != sum {
-        return None;
-    }
-    decode_payload(payload)
+    frame_payload(frame).and_then(decode_payload)
 }
 
 /// One record located by a scan.
-pub(crate) struct ScannedRecord {
-    /// Byte offset of the frame start within the segment.
+pub(crate) struct Framed<T> {
+    /// Byte offset of the frame start within the log.
     pub offset: u64,
     /// Whole-frame length (header + payload).
     pub len: u32,
-    /// The two FNV-1a lanes of the record key.
-    pub lanes: (u64, u64),
+    /// What the payload decoded to.
+    pub record: T,
 }
 
-/// Result of scanning a segment's bytes.
-pub(crate) struct Scan {
+/// Result of scanning a log's bytes.
+pub(crate) struct Scan<T> {
     /// Every record in the longest valid prefix, in file order.
-    pub records: Vec<ScannedRecord>,
+    pub records: Vec<Framed<T>>,
     /// Length of that prefix; bytes past it are torn or corrupt.
     pub valid_len: u64,
 }
 
 /// Scans `bytes`, accepting the longest valid prefix of whole,
-/// checksum-passing, decodable frames.
-pub(crate) fn scan(bytes: &[u8]) -> Scan {
+/// checksum-passing frames whose payload `decode` accepts.
+pub(crate) fn scan_frames<T>(bytes: &[u8], mut decode: impl FnMut(&[u8]) -> Option<T>) -> Scan<T> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     while let Some(header) = bytes.get(offset..offset + FRAME_HEADER) {
@@ -159,16 +169,17 @@ pub(crate) fn scan(bytes: &[u8]) -> Scan {
             break;
         }
         let frame_len = FRAME_HEADER + len;
-        let Some(frame) = bytes.get(offset..offset + frame_len) else {
+        let Some(record) = bytes
+            .get(offset..offset + frame_len)
+            .and_then(frame_payload)
+            .and_then(&mut decode)
+        else {
             break;
         };
-        let Some((key, _)) = decode_frame(frame) else {
-            break;
-        };
-        records.push(ScannedRecord {
+        records.push(Framed {
             offset: offset as u64,
             len: u32::try_from(frame_len).expect("frame fits u32"),
-            lanes: hash_lanes(key.as_bytes()),
+            record,
         });
         offset += frame_len;
     }
@@ -176,6 +187,13 @@ pub(crate) fn scan(bytes: &[u8]) -> Scan {
         records,
         valid_len: offset as u64,
     }
+}
+
+/// Scans a segment's bytes; each record is its key's two FNV-1a lanes.
+pub(crate) fn scan(bytes: &[u8]) -> Scan<(u64, u64)> {
+    scan_frames(bytes, |payload| {
+        decode_payload(payload).map(|(key, _)| hash_lanes(key.as_bytes()))
+    })
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
-//! End-to-end tests of the nonblocking reactor entry path against
-//! real sockets: wire-level byte identity with the threaded path,
-//! HTTP/1.1 keep-alive and pipelining, protocol-error handling, and a
-//! herd of idle connections that must cost nothing and lose nothing.
+//! End-to-end tests of the nonblocking reactor against real sockets:
+//! pinned wire bytes for every answer class, HTTP/1.1 keep-alive and
+//! pipelining, protocol-error handling, and a herd of idle
+//! connections that must cost nothing and lose nothing.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use noc_svc::{NetMode, Server, ServiceConfig};
+use noc_svc::{Server, ServiceConfig};
 
-fn config(net: NetMode) -> ServiceConfig {
+fn config() -> ServiceConfig {
     ServiceConfig {
         addr: "127.0.0.1:0".to_owned(),
         http_workers: 2,
@@ -17,7 +17,6 @@ fn config(net: NetMode) -> ServiceConfig {
         queue_capacity: 8,
         cache_capacity: 64,
         threads: 1,
-        net,
         ..ServiceConfig::default()
     }
 }
@@ -85,12 +84,71 @@ fn raw_roundtrip(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
     read_one_response(&mut stream, &mut carry)
 }
 
+/// The response as text, minus its `X-Noc-Trace` line: the trace id
+/// is minted per request, so it is the one header a golden cannot pin.
+fn strip_trace(bytes: &[u8]) -> String {
+    String::from_utf8(bytes.to_vec())
+        .expect("responses are UTF-8")
+        .split_inclusive("\r\n")
+        .filter(|line| !line.starts_with("X-Noc-Trace: "))
+        .collect()
+}
+
+/// Pinned answers, captured when these bytes were still asserted equal
+/// across two independent entry paths. Each is the status line and
+/// headers, then the body verbatim, or for schedule bodies their
+/// FNV-1a digest.
+const GOLDEN: [(&str, &str); 8] = [
+    (
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 1378\r\n\
+         Connection: keep-alive\r\nX-Cache: miss\r\n\
+         X-Request-Hash: ffcddbbc4bd5b59270e075340c6e4047\r\n\r\n",
+        "fnv1a:7f33aaf4a6aef99e",
+    ),
+    (
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 1378\r\n\
+         Connection: keep-alive\r\nX-Cache: hit\r\n\
+         X-Request-Hash: ffcddbbc4bd5b59270e075340c6e4047\r\n\r\n",
+        "fnv1a:7f33aaf4a6aef99e",
+    ),
+    (
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 1378\r\n\
+         Connection: keep-alive\r\nX-Cache: miss\r\n\
+         X-Request-Hash: 574792df435468fe70160dc97b427563\r\n\r\n",
+        "fnv1a:5dbfd7451be6a783",
+    ),
+    (
+        "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: 74\r\n\
+         Connection: keep-alive\r\n\r\n",
+        r#"{"error":"invalid request body: missing field `graph` in ValidateRequest"}"#,
+    ),
+    (
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 3\r\n\
+         Connection: keep-alive\r\n\r\n",
+        "ok\n",
+    ),
+    (
+        "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 23\r\n\
+         Connection: keep-alive\r\n\r\n",
+        r#"{"error":"no such job"}"#,
+    ),
+    (
+        "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n\
+         Content-Length: 30\r\nConnection: keep-alive\r\n\r\n",
+        r#"{"error":"method not allowed"}"#,
+    ),
+    (
+        "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\
+         Connection: keep-alive\r\n\r\n",
+        r#"{"error":"no such endpoint"}"#,
+    ),
+];
+
 #[test]
-fn reactor_and_threaded_paths_answer_identical_wire_bytes() {
-    let reactor = Server::start(config(NetMode::Reactor)).expect("reactor starts");
-    let threaded = Server::start(config(NetMode::Thread)).expect("threaded starts");
+fn every_answer_class_matches_its_golden_wire_bytes() {
+    let server = Server::start(config()).expect("starts");
     let graph = graph_json(71, 10);
-    let requests = vec![
+    let requests = [
         post_bytes("/v1/schedule", &schedule_body(&graph, "edf")),
         post_bytes("/v1/schedule", &schedule_body(&graph, "edf")), // cache hit
         post_bytes("/v1/schedule", &schedule_body(&graph, "dls")),
@@ -100,32 +158,22 @@ fn reactor_and_threaded_paths_answer_identical_wire_bytes() {
         b"DELETE /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n".to_vec(),
         b"GET /nowhere HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n".to_vec(),
     ];
-    // The X-Noc-Trace header is minted per request, so it is the one
-    // wire difference two servers may legitimately show; everything
-    // else — status line, headers, body — must match byte for byte.
-    let strip_trace = |bytes: &[u8]| {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.starts_with("X-Noc-Trace: "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    for request in &requests {
-        let via_reactor = raw_roundtrip(reactor.addr(), request);
-        let via_threads = raw_roundtrip(threaded.addr(), request);
-        assert_eq!(
-            strip_trace(&via_reactor),
-            strip_trace(&via_threads),
-            "entry paths must be indistinguishable on the wire"
-        );
+    for (request, (want_head, want_body)) in requests.iter().zip(GOLDEN) {
+        let text = strip_trace(&raw_roundtrip(server.addr(), request));
+        let (head, body) = text.split_at(text.find("\r\n\r\n").expect("has a head") + 4);
+        let body = if want_body.starts_with("fnv1a:") {
+            format!("fnv1a:{:016x}", noc_svc::hash::fnv1a64(body.as_bytes()))
+        } else {
+            body.to_owned()
+        };
+        assert_eq!((head, body.as_str()), (want_head, want_body));
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    server.shutdown();
 }
 
 #[test]
 fn pipelined_requests_answer_in_request_order() {
-    let server = Server::start(config(NetMode::Reactor)).expect("starts");
+    let server = Server::start(config()).expect("starts");
     // Three schedule requests with distinct answers, written
     // back-to-back before reading anything: responses must come back
     // in request order even though the jobs may finish out of order.
@@ -173,7 +221,7 @@ fn pipelined_requests_answer_in_request_order() {
 
 #[test]
 fn keep_alive_serves_many_requests_then_close_closes() {
-    let server = Server::start(config(NetMode::Reactor)).expect("starts");
+    let server = Server::start(config()).expect("starts");
     let mut stream = TcpStream::connect(server.addr()).expect("connects");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -203,36 +251,36 @@ fn keep_alive_serves_many_requests_then_close_closes() {
 }
 
 #[test]
-fn protocol_errors_answer_and_close_like_the_threaded_path() {
-    let reactor = Server::start(config(NetMode::Reactor)).expect("starts");
-    let threaded = Server::start(config(NetMode::Thread)).expect("starts");
+fn protocol_errors_answer_pinned_bytes_and_close() {
+    let server = Server::start(config()).expect("starts");
     let oversized = format!(
         "POST /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
         64 * 1024 * 1024
     );
-    let garbage = b"NOT A REQUEST AT ALL\r\n\r\n".to_vec();
-    for request in [oversized.into_bytes(), garbage] {
-        let via_reactor = raw_roundtrip(reactor.addr(), &request);
-        let via_threads = raw_roundtrip(threaded.addr(), &request);
-        assert_eq!(
-            String::from_utf8_lossy(&via_reactor),
-            String::from_utf8_lossy(&via_threads),
-            "protocol errors must be byte-identical across entry paths"
-        );
-        let text = String::from_utf8_lossy(&via_reactor).into_owned();
-        assert!(
-            text.starts_with("HTTP/1.1 413") || text.starts_with("HTTP/1.1 400"),
-            "got {text}"
-        );
-        assert!(text.contains("Connection: close"));
+    let cases = [
+        (
+            oversized.into_bytes(),
+            "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
+             Content-Length: 52\r\nConnection: close\r\n\r\n\
+             {\"error\":\"request body of 67108864 bytes too large\"}",
+        ),
+        (
+            b"NOT A REQUEST AT ALL\r\n\r\n".to_vec(),
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+             Content-Length: 60\r\nConnection: close\r\n\r\n\
+             {\"error\":\"malformed request: unsupported version `REQUEST`\"}",
+        ),
+    ];
+    for (request, want) in cases {
+        let answer = raw_roundtrip(server.addr(), &request);
+        assert_eq!(String::from_utf8_lossy(&answer), want);
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    server.shutdown();
 }
 
 #[test]
 fn a_herd_of_idle_connections_survives_a_working_wave() {
-    let server = Server::start(config(NetMode::Reactor)).expect("starts");
+    let server = Server::start(config()).expect("starts");
     // A few hundred idle sockets (the CI-sized stand-in for the 10k
     // loopback gate, which needs a raised fd limit) parked while real
     // requests flow.

@@ -467,3 +467,80 @@ fn untrusted_thread_counts_answer_like_one_thread() {
 
     server.shutdown();
 }
+
+/// The platform spec is untrusted input too. Building a platform
+/// computes its all-pairs route table, so every submission endpoint
+/// must check the spec's size against the graph before building it: a
+/// mismatched or oversized platform answers 422 at once, and the event
+/// loop that parsed it stays free for the next request.
+#[test]
+fn mismatched_or_oversized_platforms_answer_422_before_any_build() {
+    let server = Server::start(config()).expect("starts");
+    let mut c = client(&server);
+    let graph = graph_json(31, 8); // targets the 4 PEs of mesh:2x2
+    let parsed: TaskGraph = serde_json::from_str(&graph).expect("graph parses");
+    let schedule = parse_scheduler("edf", 1)
+        .expect("parses")
+        .schedule(&parsed, &parse_platform("mesh:2x2").expect("platform"))
+        .expect("schedules")
+        .schedule;
+    let schedule = serde_json::to_string(&schedule).expect("serializes");
+
+    for (spec, tiles) in [
+        ("mesh:3x3", 9u64),
+        ("mesh:32x32", 1024),
+        ("mesh:64x64", 4096),
+        ("mesh:65535x65535", 65535 * 65535),
+    ] {
+        let problem = format!(r#"{{"graph":{graph},"platform":"{spec}","scheduler":"edf"}}"#);
+        let want =
+            format!(r#"{{"error":"task graph targets 4 PEs but the platform has {tiles}"}}"#);
+        for (path, body) in [
+            ("/v1/schedule", problem.clone()),
+            (
+                "/v1/schedule/delta",
+                format!(r#"{{"prior":{problem},"edits":[]}}"#),
+            ),
+            (
+                "/v1/validate",
+                format!(r#"{{"graph":{graph},"platform":"{spec}","schedule":{schedule}}}"#),
+            ),
+        ] {
+            let started = std::time::Instant::now();
+            let resp = c.post(path, &body).expect("answers");
+            assert_eq!(
+                (resp.status, resp.body.as_str()),
+                (422, want.as_str()),
+                "{path} {spec}"
+            );
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{path} {spec} took {:?}",
+                started.elapsed()
+            );
+        }
+        assert_eq!(c.get("/healthz").expect("healthz").status, 200, "{spec}");
+    }
+
+    // A graph that does target every tile of a grid past the cap.
+    let big = parse_platform("mesh:17x17").expect("platform");
+    let mut cfg = noc_ctg::prelude::TgffConfig::category_i(5);
+    cfg.task_count = 4;
+    let big_graph = noc_ctg::prelude::TgffGenerator::new(cfg)
+        .generate(&big)
+        .expect("generates");
+    let body = format!(
+        r#"{{"graph":{},"platform":"mesh:17x17","scheduler":"edf"}}"#,
+        serde_json::to_string(&big_graph).expect("serializes")
+    );
+    let resp = c.post("/v1/schedule", &body).expect("answers");
+    assert_eq!(
+        (resp.status, resp.body.as_str()),
+        (
+            422,
+            r#"{"error":"platform has 289 tiles; the service builds at most 256 (16x16)"}"#
+        )
+    );
+
+    server.shutdown();
+}
