@@ -1,6 +1,6 @@
 //! The Communication Task Graph container and its builder.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -17,8 +17,11 @@ use crate::CtgError;
 /// Construct with [`TaskGraph::builder`]; see the [crate-level
 /// documentation](crate) for an example. Validation (acyclicity, cost
 /// vector sizes, duplicate arcs) happens once at build time so queries
-/// are infallible afterwards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// are infallible afterwards. Deserializing runs the same validation:
+/// the JSON's tasks and arcs go through the builder, and its `succs`,
+/// `preds` and `topo` must equal what [`TaskGraphBuilder::build`]
+/// derives from them.
+#[derive(Debug, Clone, Serialize)]
 pub struct TaskGraph {
     name: String,
     pe_count: usize,
@@ -186,6 +189,65 @@ impl TaskGraph {
                 task,
                 task_count: self.tasks.len(),
             })
+        }
+    }
+}
+
+impl Deserialize for TaskGraph {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        wire::TaskGraph::from_value(value)?.build()
+    }
+}
+
+/// A [`TaskGraph`] as it arrives in JSON, before any check. The struct
+/// shares the graph's name, so a missing field or a wrong type reads
+/// `... in TaskGraph` exactly as a derived impl would report it.
+mod wire {
+    use serde::{Deserialize, Error};
+    use std::collections::HashSet;
+
+    use crate::edge::{Edge, EdgeId};
+    use crate::task::{Task, TaskId};
+
+    #[derive(Deserialize)]
+    pub(super) struct TaskGraph {
+        name: String,
+        pe_count: usize,
+        tasks: Vec<Task>,
+        edges: Vec<Edge>,
+        succs: Vec<Vec<EdgeId>>,
+        preds: Vec<Vec<EdgeId>>,
+        topo: Vec<TaskId>,
+    }
+
+    impl TaskGraph {
+        /// Re-feeds the tasks and arcs through the builder, then checks
+        /// the sent adjacency and order against what it derives.
+        pub(super) fn build(self) -> Result<super::TaskGraph, Error> {
+            let invalid = |e: crate::CtgError| Error::msg(e.to_string());
+            let mut builder = super::TaskGraphBuilder {
+                name: self.name,
+                pe_count: self.pe_count,
+                tasks: self.tasks,
+                edges: Vec::with_capacity(self.edges.len()),
+                edge_set: HashSet::with_capacity(self.edges.len()),
+            };
+            for e in self.edges {
+                builder.add_edge(e.src, e.dst, e.volume).map_err(invalid)?;
+            }
+            let graph = builder.build().map_err(invalid)?;
+            if self.succs != graph.succs {
+                return Err(Error::msg("`succs` does not match the arcs in `edges`"));
+            }
+            if self.preds != graph.preds {
+                return Err(Error::msg("`preds` does not match the arcs in `edges`"));
+            }
+            if self.topo != graph.topo {
+                return Err(Error::msg(
+                    "`topo` is not the topological order the builder derives",
+                ));
+            }
+            Ok(graph)
         }
     }
 }
@@ -479,6 +541,106 @@ mod tests {
         let back: TaskGraph = serde_json::from_str(&json).unwrap();
         assert_eq!(back.task_count(), 4);
         assert_eq!(back.topological_order(), g.topological_order());
+    }
+
+    /// The diamond's JSON with each `(field, json)` replaced (or
+    /// dropped when `json` is `None`).
+    fn diamond_with(changes: &[(&str, Option<&str>)]) -> Value {
+        let good: Value =
+            serde_json::from_str(&serde_json::to_string(&diamond()).unwrap()).unwrap();
+        let mut m: serde::Map = good
+            .as_object()
+            .unwrap()
+            .iter()
+            .filter(|(k, _)| changes.iter().all(|(field, _)| k.as_str() != *field))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        for (field, json) in changes {
+            if let Some(json) = json {
+                m.insert(*field, serde_json::from_str(json).unwrap());
+            }
+        }
+        Value::Object(m)
+    }
+
+    fn decode_error(v: &Value) -> String {
+        TaskGraph::from_value(v).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn deserializing_applies_the_builder_checks() {
+        let tasks = |times: &str| {
+            let t = format!(
+                r#"{{"name":"a","exec_times":{times},"exec_energies":[1.0,1.0],"deadline":1000}}"#
+            );
+            format!("[{t},{t},{t},{t}]")
+        };
+        let arc = |src: u32, dst: u32| format!(r#"{{"src":{src},"dst":{dst},"volume":8}}"#);
+        let arcs = |extra: (u32, u32)| {
+            format!(
+                "[{},{},{},{},{}]",
+                arc(0, 1),
+                arc(0, 2),
+                arc(1, 3),
+                arc(2, 3),
+                arc(extra.0, extra.1)
+            )
+        };
+        let empty = [
+            ("tasks", Some("[]")),
+            ("edges", Some("[]")),
+            ("succs", Some("[]")),
+            ("preds", Some("[]")),
+            ("topo", Some("[]")),
+        ];
+        assert!(decode_error(&diamond_with(&empty)).contains("task graph has no tasks"));
+        for (field, json, want) in [
+            (
+                "tasks",
+                tasks("[10]"),
+                "cost vectors of length 1/2, expected 2",
+            ),
+            ("edges", arcs((0, 1)), "duplicate dependency arc t0 -> t1"),
+            ("edges", arcs((2, 2)), "task t2 cannot depend on itself"),
+            ("edges", arcs((3, 0)), "dependency arcs form a cycle"),
+            ("edges", arcs((1, 9)), "task t9 out of range"),
+            (
+                "succs",
+                "[[],[],[],[]]".to_owned(),
+                "`succs` does not match",
+            ),
+            (
+                "preds",
+                "[[],[],[],[]]".to_owned(),
+                "`preds` does not match",
+            ),
+            (
+                "topo",
+                "[3,2,1,0]".to_owned(),
+                "`topo` is not the topological order",
+            ),
+            (
+                "topo",
+                "[0,1]".to_owned(),
+                "`topo` is not the topological order",
+            ),
+        ] {
+            let err = decode_error(&diamond_with(&[(field, Some(&json))]));
+            assert!(err.contains(want), "{field} = {json}: {err}");
+        }
+        assert!(TaskGraph::from_value(&diamond_with(&[("topo", Some("[0,1,2,3]"))])).is_ok());
+    }
+
+    #[test]
+    fn missing_fields_and_wrong_types_name_the_graph() {
+        assert_eq!(
+            decode_error(&diamond_with(&[("topo", None)])),
+            "missing field `topo` in TaskGraph"
+        );
+        assert_eq!(
+            decode_error(&Value::Array(Vec::new())),
+            "expected object for TaskGraph, found array"
+        );
     }
 
     #[test]

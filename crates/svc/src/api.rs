@@ -14,7 +14,7 @@ use serde::{Deserialize, Map, Serialize, Value};
 use noc_eas::ScheduleOutcome;
 use noc_schedule::{Schedule, ValidationReport};
 
-use crate::hash::{canonical_string, content_hash};
+use crate::hash::{content_hash, Canonical};
 
 /// The request-correlation header: the service echoes the trace id of
 /// every request here, accepts a client-supplied hex id (8–64 chars)
@@ -87,18 +87,21 @@ impl ScheduleRequest {
     /// `threads` fields (thread count never changes the schedule).
     #[must_use]
     pub fn canonical_key(&self) -> String {
-        let mut m = Map::new();
-        m.insert("graph", self.graph.clone());
-        m.insert("platform", Value::String(self.platform.clone()));
-        m.insert("scheduler", Value::String(self.scheduler_name().to_owned()));
-        m.insert(
-            "faults",
-            match &self.faults {
-                Some(f) => Value::String(f.clone()),
-                None => Value::Null,
-            },
-        );
-        canonical_string(&Value::Object(m))
+        // The four members in ascending key order, written in one pass.
+        let mut w = Canonical::default();
+        w.out.push_str("{\"faults\":");
+        match &self.faults {
+            Some(f) => w.string(f),
+            None => w.out.push_str("null"),
+        }
+        w.out.push_str(",\"graph\":");
+        w.value(&self.graph);
+        w.out.push_str(",\"platform\":");
+        w.string(&self.platform);
+        w.out.push_str(",\"scheduler\":");
+        w.string(self.scheduler_name());
+        w.out.push('}');
+        w.out
     }
 
     /// Short hex id derived from [`canonical_key`](Self::canonical_key);
@@ -216,18 +219,26 @@ impl DeltaRequest {
 
     /// The canonical cache key: `(prior request hash, canonical
     /// edits)`. The prior collapses to its own content hash, so two
-    /// delta requests agree exactly when their prior requests are
-    /// semantically identical and their edit sequences canonicalize to
-    /// the same JSON; `mode`, `threads` and `stats` stay excluded.
+    /// delta requests agree exactly when their prior requests hash
+    /// alike and their edit sequences canonicalize to the same JSON;
+    /// `mode`, `threads` and `stats` stay excluded. Unlike a schedule
+    /// key, this one does not hold the whole problem: two priors whose
+    /// 128-bit content hashes collide share delta answers.
     #[must_use]
     pub fn canonical_key(&self, prior: &ScheduleRequest) -> String {
-        let mut m = Map::new();
-        m.insert(
-            "delta_of",
-            Value::String(content_hash(&prior.canonical_key())),
-        );
-        m.insert("edits", self.edits.clone());
-        canonical_string(&Value::Object(m))
+        self.canonical_key_for(&content_hash(&prior.canonical_key()))
+    }
+
+    /// [`canonical_key`](Self::canonical_key) given the prior request's
+    /// content hash.
+    pub(crate) fn canonical_key_for(&self, prior_hash: &str) -> String {
+        let mut w = Canonical::default();
+        w.out.push_str("{\"delta_of\":");
+        w.string(prior_hash);
+        w.out.push_str(",\"edits\":");
+        w.value(&self.edits);
+        w.out.push('}');
+        w.out
     }
 }
 

@@ -4,8 +4,10 @@
 //!
 //! Admission order is fixed and lock-disciplined (lock order is always
 //! jobs → queue, and the cache lock is never held with either): parse →
-//! resolve specs → cache lookup → join an identical in-flight job →
-//! enqueue a new one → reject with backpressure. The same canonical
+//! canonical key → store lookup → build graph, platform and scheduler
+//! (422 on failure) → peer fill → join an identical in-flight job →
+//! enqueue a new one → reject with backpressure. A store hit costs a
+//! decode, a key and a hash, and builds nothing. The same canonical
 //! request therefore runs the scheduler **at most once** no matter how
 //! many clients submit it concurrently, and every one of them receives
 //! byte-identical bodies.
@@ -657,8 +659,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Resolves a parsed request into runnable work + its cache key.
-    fn resolve(&self, request: &ScheduleRequest) -> Result<(JobWork, String), String> {
+    /// Builds the runnable work of a parsed request: graph, platform
+    /// and scheduler.
+    fn resolve(&self, request: &ScheduleRequest) -> Result<JobWork, String> {
         let spec = PlatformSpec::parse(&request.platform, request.faults.as_deref())?;
         let graph =
             TaskGraph::from_value(&request.graph).map_err(|e| format!("invalid graph: {e}"))?;
@@ -666,22 +669,23 @@ impl Engine {
         let threads = request.threads.unwrap_or(self.config.threads);
         let scheduler_name = request.scheduler_name().to_owned();
         let scheduler = crate::spec::parse_scheduler(&scheduler_name, threads)?;
-        Ok((
-            JobWork::Schedule {
-                graph,
-                platform,
-                scheduler,
-                scheduler_name,
-            },
-            request.canonical_key(),
-        ))
+        Ok(JobWork::Schedule {
+            graph,
+            platform,
+            scheduler,
+            scheduler_name,
+        })
     }
 
-    /// Resolves a parsed delta request: the prior problem, the edit
-    /// sequence applied to graph and platform, and the delta cache key
-    /// `(prior request hash, canonical edits)`.
-    fn resolve_delta(&self, request: &DeltaRequest) -> Result<(JobWork, String), String> {
-        let prior = request.prior_request()?;
+    /// Builds the runnable work of a parsed delta request: the prior
+    /// problem and the edit sequence applied to its graph and platform.
+    /// `prior_key` is the prior request's canonical key.
+    fn resolve_delta(
+        &self,
+        request: &DeltaRequest,
+        prior: &ScheduleRequest,
+        prior_key: String,
+    ) -> Result<JobWork, String> {
         let prior_spec = PlatformSpec::parse(&prior.platform, prior.faults.as_deref())?;
         let prior_graph =
             TaskGraph::from_value(&prior.graph).map_err(|e| format!("invalid prior graph: {e}"))?;
@@ -695,34 +699,33 @@ impl Engine {
             apply_edits(&prior_graph, &edits).map_err(|e| format!("inapplicable edits: {e}"))?;
         let platform = apply_platform_edits(&prior_platform, &edits)
             .map_err(|e| format!("inapplicable edits: {e}"))?;
-        Ok((
-            JobWork::Delta {
-                prior_key: prior.canonical_key(),
-                prior_graph,
-                prior_platform: Box::new(prior_platform),
-                prior_scheduler,
-                prior_scheduler_name,
-                platform: Box::new(platform),
-                applied,
-            },
-            request.canonical_key(&prior),
-        ))
+        Ok(JobWork::Delta {
+            prior_key,
+            prior_graph,
+            prior_platform: Box::new(prior_platform),
+            prior_scheduler,
+            prior_scheduler_name,
+            platform: Box::new(platform),
+            applied,
+        })
     }
 
     /// Resolves a body of either request shape (sniffing the `"prior"`
-    /// key that only delta requests carry) — the journal recovery path,
-    /// which must re-admit both kinds.
+    /// key that only delta requests carry) into runnable work and its
+    /// cache key — the journal recovery path, which must re-admit both
+    /// kinds.
     fn resolve_body(&self, body: &str) -> Result<(JobWork, String), String> {
         let value: Value =
             serde_json::from_str(body).map_err(|e| format!("journaled body unparseable: {e}"))?;
         if value.as_object().is_some_and(|o| o.get("prior").is_some()) {
             let request = DeltaRequest::from_value(&value)
                 .map_err(|e| format!("journaled body unparseable: {e}"))?;
-            self.resolve_delta(&request)
+            let (prior, prior_key, key) = delta_keys(&request)?;
+            Ok((self.resolve_delta(&request, &prior, prior_key)?, key))
         } else {
             let request = ScheduleRequest::from_value(&value)
                 .map_err(|e| format!("journaled body unparseable: {e}"))?;
-            self.resolve(&request)
+            Ok((self.resolve(&request)?, request.canonical_key()))
         }
     }
 
@@ -752,14 +755,19 @@ impl Engine {
         request: &ScheduleRequest,
         trace: &TraceCtx,
     ) -> Submission {
-        // Resolve every spec *before* touching cache or queue, so a
-        // request that can never schedule is rejected up front and is
-        // never admitted, cached or coalesced.
-        let (work, key) = match self.resolve(request) {
-            Ok(resolved) => resolved,
-            Err(e) => return Submission::BadSpec(e),
-        };
-        self.admit(body, work, key, request.is_async(), trace)
+        // Key → store lookup → build. A hit builds nothing. A miss
+        // builds every spec *before* peer fill, single-flight and queue,
+        // so a request that can never schedule is answered 422 and is
+        // never peer-filled, coalesced or admitted.
+        let key = request.canonical_key();
+        let id = crate::hash::content_hash(&key);
+        if let Some(hit) = self.store_hit(&id, &key) {
+            return hit;
+        }
+        match self.resolve(request) {
+            Ok(work) => self.admit(body, work, id, key, request.is_async(), trace),
+            Err(e) => Submission::BadSpec(e),
+        }
     }
 
     /// Admits one `POST /v1/schedule/delta` body. Delta jobs share the
@@ -783,30 +791,45 @@ impl Engine {
         request: &DeltaRequest,
         trace: &TraceCtx,
     ) -> Submission {
-        let (work, key) = match self.resolve_delta(request) {
-            Ok(resolved) => resolved,
+        // The admission order of `submit_traced`.
+        let (prior, prior_key, key) = match delta_keys(request) {
+            Ok(keys) => keys,
             Err(e) => return Submission::BadSpec(e),
         };
-        self.admit(body, work, key, request.is_async(), trace)
+        let id = crate::hash::content_hash(&key);
+        if let Some(hit) = self.store_hit(&id, &key) {
+            return hit;
+        }
+        match self.resolve_delta(request, &prior, prior_key) {
+            Ok(work) => self.admit(body, work, id, key, request.is_async(), trace),
+            Err(e) => Submission::BadSpec(e),
+        }
     }
 
-    /// The shared admission tail: cache lookup → single-flight join →
-    /// bounded enqueue with write-ahead journaling → backpressure.
+    /// Answers a request whose key the store holds. A hit skips every
+    /// build: the stored bytes were computed from this exact key.
+    fn store_hit(&self, id: &str, key: &str) -> Option<Submission> {
+        let output = self.store.get(key)?;
+        self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.note_hash(id, key);
+        Some(Submission::Cached {
+            id: id.to_owned(),
+            output,
+        })
+    }
+
+    /// The admission tail of a store miss whose work has been built:
+    /// peer fill → single-flight join → bounded enqueue with
+    /// write-ahead journaling → backpressure.
     fn admit(
         &self,
         body: &str,
         work: JobWork,
+        id: String,
         key: String,
         is_async: bool,
         trace: &TraceCtx,
     ) -> Submission {
-        let id = crate::hash::content_hash(&key);
-
-        if let Some(output) = self.store.get(&key) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.note_hash(&id, &key);
-            return Submission::Cached { id, output };
-        }
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
 
         // Peer cache-fill: before scheduling locally, ask the nodes
@@ -1502,6 +1525,15 @@ fn parse_hash_lanes(hash: &str) -> Option<(u64, u64)> {
     let a = u64::from_str_radix(&hash[..16], 16).ok()?;
     let b = u64::from_str_radix(&hash[16..], 16).ok()?;
     Some((a, b))
+}
+
+/// The keys of a delta request: its parsed prior request, the prior's
+/// canonical key and the delta's own key.
+fn delta_keys(request: &DeltaRequest) -> Result<(ScheduleRequest, String, String), String> {
+    let prior = request.prior_request()?;
+    let prior_key = prior.canonical_key();
+    let key = request.canonical_key_for(&crate::hash::content_hash(&prior_key));
+    Ok((prior, prior_key, key))
 }
 
 /// Re-derives the cache key of a journaled request body (either

@@ -3,6 +3,8 @@
 //! classification, queue backpressure, cache byte-identity,
 //! single-flight coalescing, the async job flow and graceful shutdown.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,6 +14,7 @@ use noc_svc::api::{DeltaResponse, ScheduleResponse};
 use noc_svc::client::Client;
 use noc_svc::spec::{parse_platform, parse_scheduler};
 use noc_svc::{Server, ServiceConfig};
+use serde::Deserialize;
 
 fn config() -> ServiceConfig {
     ServiceConfig {
@@ -542,5 +545,61 @@ fn mismatched_or_oversized_platforms_answer_422_before_any_build() {
         )
     );
 
+    server.shutdown();
+}
+
+/// The task graph is untrusted input too: its arcs, cost vectors,
+/// adjacency lists and topological order all arrive in the body, and
+/// the schedulers and the validator index by them without checks. Every
+/// endpoint must refuse a graph the builder would refuse, or one whose
+/// `succs`, `preds` or `topo` disagree with its arcs, with a 422, and
+/// the one event loop that read it must stay up for the next request.
+#[test]
+fn malformed_graphs_answer_422_on_every_endpoint() {
+    let server = Server::start(ServiceConfig {
+        http_workers: 1,
+        ..config()
+    })
+    .expect("starts");
+    let mut c = client(&server);
+    let graph = common::graph_value("mesh:2x2", 3, 8);
+    let parsed = TaskGraph::from_value(&graph).expect("graph parses");
+    let schedule = parse_scheduler("edf", 1)
+        .expect("parses")
+        .schedule(&parsed, &parse_platform("mesh:2x2").expect("platform"))
+        .expect("schedules")
+        .schedule;
+    let schedule = serde_json::to_string(&schedule).expect("serializes");
+
+    for (shape, bad, want) in common::malformed_graphs(&graph) {
+        let bad = serde_json::to_string(&bad).expect("serializes");
+        let problem = format!(r#"{{"graph":{bad},"platform":"mesh:2x2","scheduler":"edf"}}"#);
+        for (path, body, prefix) in [
+            (
+                "/v1/validate",
+                format!(r#"{{"graph":{bad},"platform":"mesh:2x2","schedule":{schedule}}}"#),
+                r#"{"error":"invalid graph: "#,
+            ),
+            (
+                "/v1/schedule",
+                problem.clone(),
+                r#"{"error":"invalid graph: "#,
+            ),
+            (
+                "/v1/schedule/delta",
+                format!(r#"{{"prior":{problem},"edits":[]}}"#),
+                r#"{"error":"invalid prior graph: "#,
+            ),
+        ] {
+            let resp = c.post(path, &body).expect("answers");
+            assert_eq!(resp.status, 422, "{shape} on {path}: {}", resp.body);
+            assert!(
+                resp.body.starts_with(prefix) && resp.body.contains(want),
+                "{shape} on {path}: {}",
+                resp.body
+            );
+        }
+        assert_eq!(c.get("/healthz").expect("healthz").status, 200, "{shape}");
+    }
     server.shutdown();
 }
