@@ -22,6 +22,7 @@
 use noc_ctg::edge::EdgeId;
 use noc_ctg::task::TaskId;
 use noc_ctg::TaskGraph;
+use noc_platform::routing::LinkId;
 use noc_platform::tile::PeId;
 use noc_platform::units::Time;
 use noc_platform::Platform;
@@ -37,6 +38,80 @@ pub struct IncomingSchedule {
     pub drt: Time,
     /// Placement per scheduled incoming edge, in LCT order.
     pub transactions: Vec<(EdgeId, CommPlacement)>,
+}
+
+/// The Fig. 3 transaction step over one graph and platform: the one
+/// place that orders a task's LCT, applies the local/zero-volume rule,
+/// finds each transaction's earliest common slot on its route and
+/// reserves it. It keeps the LCT buffer between calls, so a step
+/// allocates nothing; callers decide what to keep of each transaction.
+#[derive(Debug, Clone)]
+pub(crate) struct CommScheduler<'a> {
+    graph: &'a TaskGraph,
+    platform: &'a Platform,
+    lct: Vec<EdgeId>,
+}
+
+impl<'a> CommScheduler<'a> {
+    pub(crate) fn new(graph: &'a TaskGraph, platform: &'a Platform) -> Self {
+        CommScheduler {
+            graph,
+            platform,
+            lct: Vec::new(),
+        }
+    }
+
+    /// Schedules every receiving transaction of `task` for `dst_pe`,
+    /// reading each placed predecessor through `sender`, and returns the
+    /// DRT. Each transaction goes to `emit(edge, route, start, finish)`
+    /// in LCT order; a local or zero-volume transfer has an empty route
+    /// and arrives at its sender's finish. See [`schedule_incoming`] for
+    /// the two models.
+    pub(crate) fn schedule(
+        &mut self,
+        tables: &mut ResourceTables,
+        sender: impl Fn(TaskId) -> TaskPlacement,
+        task: TaskId,
+        dst_pe: PeId,
+        model: CommModel,
+        mut emit: impl FnMut(EdgeId, &'a [LinkId], Time, Time),
+    ) -> Time {
+        let graph = self.graph;
+        // LCT sorted by sender finish time (ties: edge id, for
+        // determinism; the keys are distinct, so unstable is exact).
+        self.lct.clear();
+        self.lct.extend_from_slice(graph.incoming(task));
+        self.lct
+            .sort_unstable_by_key(|&e| (sender(graph.edge(e).src).finish, e));
+
+        let dst_tile = dst_pe.tile();
+        let mut drt = Time::ZERO;
+        for &e in &self.lct {
+            let edge = graph.edge(e);
+            let from = sender(edge.src);
+            let src_tile = from.pe.tile();
+            let (route, start, finish) = if src_tile == dst_tile || edge.volume.is_zero() {
+                (&[][..], from.finish, from.finish)
+            } else {
+                let route = self.platform.route(src_tile, dst_tile);
+                let duration = self
+                    .platform
+                    .transfer_duration(src_tile, dst_tile, edge.volume);
+                let start = match model {
+                    CommModel::Contention => {
+                        let s = tables.earliest_path_slot(route, from.finish, duration);
+                        tables.reserve_path(route, s, duration);
+                        s
+                    }
+                    CommModel::FixedDelay => from.finish,
+                };
+                (route, start, start + duration)
+            };
+            drt = drt.max(finish);
+            emit(e, route, start, finish);
+        }
+        drt
+    }
 }
 
 /// Schedules all receiving transactions of `task` assuming it executes
@@ -64,43 +139,17 @@ pub fn schedule_incoming(
     dst_pe: PeId,
     model: CommModel,
 ) -> IncomingSchedule {
-    // LCT sorted by sender finish time (ties: edge id, for determinism).
-    let mut lct: Vec<EdgeId> = graph.incoming(task).to_vec();
-    lct.sort_by_key(|&e| {
-        let src = graph.edge(e).src;
-        let p = placements[src.index()]
-            .as_ref()
-            .expect("predecessor placed");
-        (p.finish, e)
-    });
-
-    let mut drt = Time::ZERO;
-    let mut transactions = Vec::with_capacity(lct.len());
-    for e in lct {
-        let edge = graph.edge(e);
-        let sender = placements[edge.src.index()]
-            .as_ref()
-            .expect("predecessor placed");
-        let src_tile = sender.pe.tile();
-        let dst_tile = dst_pe.tile();
-        let placement = if src_tile == dst_tile || edge.volume.is_zero() {
-            CommPlacement::local(sender.finish)
-        } else {
-            let route = platform.route(src_tile, dst_tile);
-            let duration = platform.transfer_duration(src_tile, dst_tile, edge.volume);
-            let start = match model {
-                CommModel::Contention => {
-                    let s = tables.earliest_path_slot(route, sender.finish, duration);
-                    tables.reserve_path(route, s, duration);
-                    s
-                }
-                CommModel::FixedDelay => sender.finish,
-            };
-            CommPlacement::new(route.to_vec(), start, start + duration)
-        };
-        drt = drt.max(placement.finish);
-        transactions.push((e, placement));
-    }
+    let mut transactions = Vec::with_capacity(graph.incoming(task).len());
+    let drt = CommScheduler::new(graph, platform).schedule(
+        tables,
+        |s| placements[s.index()].expect("predecessor placed"),
+        task,
+        dst_pe,
+        model,
+        |e, route, start, finish| {
+            transactions.push((e, CommPlacement::new(route.to_vec(), start, finish)));
+        },
+    );
     IncomingSchedule { drt, transactions }
 }
 

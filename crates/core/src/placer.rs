@@ -13,7 +13,7 @@ use noc_platform::Platform;
 use noc_schedule::{CommPlacement, ResourceTables, Schedule, TaskPlacement};
 
 use crate::cache::TrialCache;
-use crate::comm::{incoming_comm_energy, schedule_incoming};
+use crate::comm::{incoming_comm_energy, schedule_incoming, CommScheduler};
 use crate::scheduler::CommModel;
 use crate::trace::{EventKind, Tracer};
 use crate::SchedulerError;
@@ -32,6 +32,7 @@ pub struct Trial {
 pub struct Placer<'a> {
     graph: &'a TaskGraph,
     platform: &'a Platform,
+    comm: CommScheduler<'a>,
     tables: ResourceTables,
     placements: Vec<Option<TaskPlacement>>,
     comms: Vec<Option<CommPlacement>>,
@@ -69,6 +70,7 @@ impl<'a> Placer<'a> {
         Ok(Placer {
             graph,
             platform,
+            comm: CommScheduler::new(graph, platform),
             tables: ResourceTables::new(platform),
             placements: vec![None; graph.task_count()],
             comms: vec![None; graph.edge_count()],
@@ -125,17 +127,17 @@ impl<'a> Placer<'a> {
     #[must_use]
     pub fn trial(&mut self, task: TaskId, pe: PeId, model: CommModel) -> Trial {
         let mark = self.tables.checkpoint();
-        let incoming = schedule_incoming(
-            self.graph,
-            self.platform,
+        let placements = &self.placements;
+        let drt = self.comm.schedule(
             &mut self.tables,
-            &self.placements,
+            |s| placements[s.index()].expect("predecessor placed"),
             task,
             pe,
             model,
+            |_, _, _, _| {},
         );
         let exec = self.graph.task(task).exec_time(pe);
-        let start = self.tables.earliest_pe_slot(pe, incoming.drt, exec);
+        let start = self.tables.earliest_pe_slot(pe, drt, exec);
         self.tables.rollback(mark);
         Trial {
             start,

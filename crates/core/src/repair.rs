@@ -15,17 +15,15 @@
 //! are well-founded, the greedy procedure always converges (the paper's
 //! convergence remark).
 
-use noc_ctg::analysis::GraphAnalysis;
 use noc_ctg::task::TaskId;
 use noc_ctg::TaskGraph;
 use noc_platform::tile::PeId;
-use noc_platform::units::{Energy, Time};
+use noc_platform::units::Energy;
 use noc_platform::Platform;
 use noc_schedule::Schedule;
 
-use crate::comm::incoming_comm_energy;
 use crate::limit::{ComputeBudget, Interrupt};
-use crate::retime::{retime, OrderedAssignment};
+use crate::retime::{badness, retime, OrderedAssignment, Retimer};
 use crate::trace::{EventKind, Tracer};
 
 /// Counters describing one repair run.
@@ -44,12 +42,17 @@ pub struct RepairStats {
 /// the paper-scale benchmarks need.
 pub const MAX_REPAIR_TRIALS: usize = 500_000;
 
-type Badness = (usize, Time);
-
-fn badness(schedule: &Schedule, graph: &TaskGraph) -> Badness {
-    let misses = schedule.deadline_misses(graph);
-    let tardiness: Time = misses.iter().map(|(_, t)| *t).sum();
-    (misses.len(), tardiness)
+/// Marks every ancestor of the tasks on `stack` in `marked`, walking
+/// predecessors back; tasks already marked are not walked again.
+fn mark_ancestors(graph: &TaskGraph, mut stack: Vec<TaskId>, marked: &mut [bool]) {
+    while let Some(t) = stack.pop() {
+        for p in graph.predecessors(t) {
+            if !marked[p.index()] {
+                marked[p.index()] = true;
+                stack.push(p);
+            }
+        }
+    }
 }
 
 /// Critical tasks: every task that misses its deadline plus all their
@@ -57,7 +60,6 @@ fn badness(schedule: &Schedule, graph: &TaskGraph) -> Badness {
 /// a specified deadline, but it causes one of its descendant tasks to
 /// miss its deadline"). Ascending id.
 fn critical_tasks(graph: &TaskGraph, schedule: &Schedule) -> Vec<TaskId> {
-    let analysis = GraphAnalysis::new(graph);
     let missed: Vec<TaskId> = schedule
         .deadline_misses(graph)
         .into_iter()
@@ -66,16 +68,18 @@ fn critical_tasks(graph: &TaskGraph, schedule: &Schedule) -> Vec<TaskId> {
     let mut critical = vec![false; graph.task_count()];
     for &m in &missed {
         critical[m.index()] = true;
-        for a in analysis.ancestors_of(m) {
-            critical[a.index()] = true;
-        }
     }
-    critical
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c)
-        .map(|(i, _)| TaskId::new(i as u32))
-        .collect()
+    mark_ancestors(graph, missed, &mut critical);
+    graph.task_ids().filter(|t| critical[t.index()]).collect()
+}
+
+/// The last position in `queue` holding an ancestor of `t`. An LTS swap
+/// that moves `t` to this position or an earlier one queues `t` ahead of
+/// a task it waits for, so re-timing it would deadlock.
+fn last_ancestor(graph: &TaskGraph, queue: &[TaskId], t: TaskId) -> Option<usize> {
+    let mut ancestor = vec![false; graph.task_count()];
+    mark_ancestors(graph, vec![t], &mut ancestor);
+    queue.iter().rposition(|x| ancestor[x.index()])
 }
 
 /// Runs search and repair on `schedule`, returning the repaired schedule
@@ -144,13 +148,12 @@ pub fn search_and_repair_traced(
     }
 
     let mut oa = OrderedAssignment::from_schedule(&schedule, platform);
-    let mut current = match retime(graph, platform, &oa) {
-        Some(s) => s,
-        None => return Ok((schedule, stats)), // cannot rebase: keep original
+    let Some(mut search) = Retimer::new(graph, platform, &oa) else {
+        return Ok((schedule, stats)); // cannot rebase: keep original
     };
-    let mut best = badness(&current, graph);
+    let mut best = search.badness();
     if best.0 == 0 {
-        return Ok((current, stats));
+        return Ok((search.into_schedule(), stats));
     }
 
     loop {
@@ -158,7 +161,7 @@ pub fn search_and_repair_traced(
         let mut lts_improved = true;
         'lts: while lts_improved && best.0 > 0 && stats.trials < MAX_REPAIR_TRIALS {
             lts_improved = false;
-            let crit = critical_tasks(graph, &current);
+            let crit = critical_tasks(graph, search.schedule());
             let is_crit = {
                 let mut v = vec![false; graph.task_count()];
                 for &c in &crit {
@@ -169,6 +172,7 @@ pub fn search_and_repair_traced(
             for &t1 in &crit {
                 let pe = oa.assignment[t1.index()];
                 let pos1 = oa.position(t1);
+                let deadlocks_through = last_ancestor(graph, &oa.order[pe.index()][..pos1], t1);
                 // Try to pull t1 before each earlier non-critical task.
                 for pos2 in 0..pos1 {
                     let t2 = oa.order[pe.index()][pos2];
@@ -176,13 +180,18 @@ pub fn search_and_repair_traced(
                         continue;
                     }
                     budget.check()?;
-                    oa.swap(t1, t2);
                     stats.trials += 1;
-                    let candidate = retime(graph, platform, &oa);
-                    let improved = candidate.as_ref().is_some_and(|c| badness(c, graph) < best);
-                    if improved {
-                        current = candidate.expect("checked");
-                        best = badness(&current, graph);
+                    if deadlocks_through.is_some_and(|p| pos2 <= p) {
+                        // A sure deadlock: rejected without re-timing.
+                        if stats.trials >= MAX_REPAIR_TRIALS {
+                            break 'lts;
+                        }
+                        continue;
+                    }
+                    oa.swap(t1, t2);
+                    if search.beats(&oa, &[(pe, pos2)]) {
+                        search.accept(&oa);
+                        best = search.badness();
                         stats.lts_accepted += 1;
                         if tracer.on() {
                             tracer.emit(EventKind::LtsSwap {
@@ -208,16 +217,17 @@ pub fn search_and_repair_traced(
         }
 
         // --- GTM mode: migrate one critical task, cheapest energy first. ---
-        let crit = critical_tasks(graph, &current);
+        let crit = critical_tasks(graph, search.schedule());
         let mut migrated = false;
         'gtm: for &t in &crit {
+            let current = search.schedule();
             let src = oa.assignment[t.index()];
             // Dead PEs are masked out of the candidate destinations, so
             // repair on a faulted platform never re-strands a task.
             let mut destinations: Vec<(Energy, PeId)> = platform
                 .alive_pes()
                 .filter(|&k| k != src)
-                .map(|k| (migration_energy(graph, platform, &current, t, k), k))
+                .map(|k| (migration_energy(graph, platform, current, t, k), k))
                 .collect();
             destinations.sort_by(|a, b| {
                 (a.0, a.1.index())
@@ -233,21 +243,16 @@ pub fn search_and_repair_traced(
                 }
                 // Insert keeping the destination queue sorted by current
                 // start times.
+                let current = search.schedule();
                 let anchor = oa.order[dst.index()]
                     .iter()
                     .position(|&x| current.task(x).start > old_start)
                     .unwrap_or(oa.order[dst.index()].len());
                 oa.migrate(t, dst, anchor);
                 stats.trials += 1;
-                let improved = retime(graph, platform, &oa)
-                    .map(|c| {
-                        let b = badness(&c, graph);
-                        (c, b)
-                    })
-                    .filter(|(_, b)| *b < best);
-                if let Some((c, b)) = improved {
-                    current = c;
-                    best = b;
+                if search.beats(&oa, &[(src, src_pos), (dst, anchor)]) {
+                    search.accept(&oa);
+                    best = search.badness();
                     stats.gtm_accepted += 1;
                     if tracer.on() {
                         tracer.emit(EventKind::GtmMove {
@@ -270,7 +275,7 @@ pub fn search_and_repair_traced(
         }
     }
 
-    Ok((current, stats))
+    Ok((search.into_schedule(), stats))
 }
 
 /// Masked-resource re-repair: adapts a schedule built for a pristine
@@ -332,13 +337,15 @@ fn migration_energy(
     t: TaskId,
     k: PeId,
 ) -> Energy {
-    let placements: Vec<Option<noc_schedule::TaskPlacement>> = schedule
-        .task_placements()
+    let incoming: Energy = graph
+        .incoming(t)
         .iter()
-        .copied()
-        .map(Some)
-        .collect();
-    let incoming = incoming_comm_energy(graph, platform, &placements, t, k);
+        .map(|&e| {
+            let edge = graph.edge(e);
+            let producer = schedule.task(edge.src).pe.tile();
+            platform.transfer_energy(producer, k.tile(), edge.volume)
+        })
+        .sum();
     let outgoing: Energy = graph
         .outgoing(t)
         .iter()

@@ -5,15 +5,22 @@
 //! times — those are recomputed here by a list re-timing pass that
 //! replays the Fig. 3 communication scheduler, so every candidate move is
 //! evaluated on exact, contention-aware timing.
+//!
+//! [`retime`] runs the re-timing loop once. Search and repair instead
+//! keeps a `Retimer`, which records the current order's run of the same
+//! loop so that each candidate resumes at its first changed step and
+//! stops once it cannot win.
 
 use noc_ctg::task::TaskId;
 use noc_ctg::TaskGraph;
+use noc_platform::routing::LinkId;
 use noc_platform::tile::PeId;
 use noc_platform::units::Time;
 use noc_platform::Platform;
+use noc_schedule::resources::Mark;
 use noc_schedule::{CommPlacement, ResourceTables, Schedule, TaskPlacement};
 
-use crate::comm::schedule_incoming;
+use crate::comm::CommScheduler;
 use crate::scheduler::CommModel;
 
 /// A schedule stripped to its decisions: per-task PE assignment and
@@ -64,8 +71,9 @@ impl OrderedAssignment {
     }
 
     /// Moves `t` to `dst` (a GTM move), inserting it into `dst`'s order
-    /// before the first task currently ordered after `anchor_start`
-    /// (pass the task's previous start time to keep the global shape).
+    /// at queue position `anchor`, clamped to the queue's length (so a
+    /// large anchor appends). Migrating back to the old PE at the old
+    /// position undoes the move.
     pub fn migrate(&mut self, t: TaskId, dst: PeId, anchor: usize) {
         let src = self.assignment[t.index()];
         let pos = self.position(t);
@@ -74,6 +82,18 @@ impl OrderedAssignment {
         let at = anchor.min(self.order[dst.index()].len());
         self.order[dst.index()].insert(at, t);
     }
+}
+
+/// `(deadline misses, total tardiness)`, compared lexicographically: the
+/// quantity search and repair drives down. Both components only grow as
+/// a run of the re-timing loop places tasks.
+pub(crate) type Badness = (usize, Time);
+
+/// The [`Badness`] of a complete schedule.
+pub(crate) fn badness(schedule: &Schedule, graph: &TaskGraph) -> Badness {
+    let misses = schedule.deadline_misses(graph);
+    let tardiness: Time = misses.iter().map(|(_, t)| *t).sum();
+    (misses.len(), tardiness)
 }
 
 /// Recomputes exact start/finish times for `oa`, replaying communication
@@ -86,57 +106,424 @@ impl OrderedAssignment {
 /// rejected by the repair loop.
 #[must_use]
 pub fn retime(graph: &TaskGraph, platform: &Platform, oa: &OrderedAssignment) -> Option<Schedule> {
-    let n = graph.task_count();
-    let mut tables = ResourceTables::new(platform);
-    let mut placements: Vec<Option<TaskPlacement>> = vec![None; n];
-    let mut comms: Vec<Option<CommPlacement>> = vec![None; graph.edge_count()];
-    let mut unplaced_preds: Vec<usize> =
-        graph.task_ids().map(|t| graph.incoming(t).len()).collect();
-    let mut ptr = vec![0usize; oa.order.len()];
-    let mut pe_avail = vec![Time::ZERO; oa.order.len()];
-    let mut placed = 0usize;
+    let mut run = Loop::new(graph, platform);
+    run.restart(oa.order.len());
+    (run.run(&oa.order, Cursor::START, None, None) == Outcome::Done).then(|| run.schedule())
+}
 
-    while placed < n {
-        let mut progress = false;
-        for pe_idx in 0..oa.order.len() {
-            while ptr[pe_idx] < oa.order[pe_idx].len() {
-                let t = oa.order[pe_idx][ptr[pe_idx]];
-                if unplaced_preds[t.index()] > 0 {
-                    break;
-                }
-                let pe = PeId::new(pe_idx as u32);
-                let incoming = schedule_incoming(
-                    graph,
-                    platform,
-                    &mut tables,
-                    &placements,
-                    t,
-                    pe,
-                    CommModel::Contention,
-                );
-                for (e, placement) in incoming.transactions {
-                    comms[e.index()] = Some(placement);
-                }
-                let exec = graph.task(t).exec_time(pe);
-                let start = incoming.drt.max(pe_avail[pe_idx]);
-                pe_avail[pe_idx] = start + exec;
-                placements[t.index()] = Some(TaskPlacement::new(pe, start, start + exec));
-                placed += 1;
-                progress = true;
-                ptr[pe_idx] += 1;
-                for s in graph.successors(t) {
-                    unplaced_preds[s.index()] -= 1;
-                }
-            }
-        }
-        if !progress {
-            return None; // cross-PE ordering deadlock
+/// Where the loop stands: the PE it is visiting, and whether the
+/// current pass over the PEs has placed anything yet.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    pe: usize,
+    progress: bool,
+}
+
+impl Cursor {
+    const START: Cursor = Cursor {
+        pe: 0,
+        progress: false,
+    };
+}
+
+/// How a run of the loop ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// Every task is placed.
+    Done,
+    /// A whole pass placed nothing: a cross-PE ordering deadlock.
+    Deadlock,
+    /// The running badness reached the bound.
+    Stopped,
+}
+
+/// The re-timing loop and its working state, in buffers reused from
+/// run to run.
+///
+/// The loop visits the PEs round-robin. On each visit it *examines* the
+/// PE's next queue position and places the task there once all its
+/// predecessors are placed, until the queue is exhausted or blocked. A
+/// pass that places nothing is a deadlock.
+struct Loop<'a> {
+    graph: &'a TaskGraph,
+    comm: CommScheduler<'a>,
+    tables: ResourceTables,
+    /// The tables' empty state.
+    origin: Mark,
+    /// Per task: predecessors not placed yet.
+    preds_left: Vec<usize>,
+    /// Per PE: the queue position examined next.
+    ptr: Vec<usize>,
+    /// Per PE: when it is free again.
+    avail: Vec<Time>,
+    /// Per task and per transaction: the placement made by this run.
+    /// An entry is read only once this run has written it.
+    tasks: Vec<TaskPlacement>,
+    comms: Vec<(&'a [LinkId], Time, Time)>,
+    /// Tasks placed by this run, in placement order.
+    log: Vec<TaskId>,
+    placed: usize,
+    /// Misses and tardiness of the tasks placed so far.
+    bad: Badness,
+}
+
+impl<'a> Loop<'a> {
+    fn new(graph: &'a TaskGraph, platform: &'a Platform) -> Self {
+        let tables = ResourceTables::new(platform);
+        Loop {
+            graph,
+            comm: CommScheduler::new(graph, platform),
+            origin: tables.checkpoint(),
+            tables,
+            preds_left: Vec::new(),
+            ptr: Vec::new(),
+            avail: Vec::new(),
+            tasks: vec![
+                TaskPlacement::new(PeId::new(0), Time::ZERO, Time::ZERO);
+                graph.task_count()
+            ],
+            comms: vec![(&[][..], Time::ZERO, Time::ZERO); graph.edge_count()],
+            log: Vec::new(),
+            placed: 0,
+            bad: (0, Time::ZERO),
         }
     }
 
-    let tasks = placements.into_iter().map(|p| p.expect("placed")).collect();
-    let comms = comms.into_iter().map(|c| c.expect("placed")).collect();
-    Some(Schedule::new(tasks, comms))
+    /// Resets to the state before the first placement, for `pes` queues.
+    fn restart(&mut self, pes: usize) {
+        let graph = self.graph;
+        self.tables.rollback(self.origin);
+        self.preds_left.clear();
+        self.preds_left
+            .extend(graph.task_ids().map(|t| graph.incoming(t).len()));
+        self.ptr.clear();
+        self.ptr.resize(pes, 0);
+        self.avail.clear();
+        self.avail.resize(pes, Time::ZERO);
+        self.log.clear();
+        self.placed = 0;
+        self.bad = (0, Time::ZERO);
+    }
+
+    /// Continues the loop from `cur` over `order` until every task is
+    /// placed, a pass deadlocks, or the running badness reaches `bound`.
+    /// With `rec`, every examination and placement is recorded.
+    fn run(
+        &mut self,
+        order: &[Vec<TaskId>],
+        mut cur: Cursor,
+        bound: Option<Badness>,
+        mut rec: Option<&mut Record>,
+    ) -> Outcome {
+        loop {
+            while let Some(queue) = order.get(cur.pe) {
+                loop {
+                    let pos = self.ptr[cur.pe];
+                    if let Some(rec) = rec.as_deref_mut() {
+                        rec.examine(cur, pos, self.placed);
+                    }
+                    let Some(&t) = queue.get(pos) else { break };
+                    if self.preds_left[t.index()] > 0 {
+                        break;
+                    }
+                    let freed = self.avail[cur.pe];
+                    self.place(t, cur.pe);
+                    cur.progress = true;
+                    if let Some(rec) = rec.as_deref_mut() {
+                        rec.freed.push(freed);
+                        rec.snapshot(self);
+                    }
+                    if bound.is_some_and(|b| self.bad >= b) {
+                        return Outcome::Stopped;
+                    }
+                }
+                cur.pe += 1;
+            }
+            if self.placed == self.graph.task_count() {
+                return Outcome::Done;
+            }
+            if !cur.progress {
+                return Outcome::Deadlock;
+            }
+            cur = Cursor::START;
+        }
+    }
+
+    /// Places `t` on PE `pe_idx`: its transactions through the Fig. 3
+    /// step, then the task itself as soon as the PE is free.
+    fn place(&mut self, t: TaskId, pe_idx: usize) {
+        let pe = PeId::new(pe_idx as u32);
+        let tasks = &self.tasks;
+        let comms = &mut self.comms;
+        let drt = self.comm.schedule(
+            &mut self.tables,
+            |s| tasks[s.index()],
+            t,
+            pe,
+            CommModel::Contention,
+            |e, route, start, finish| comms[e.index()] = (route, start, finish),
+        );
+        let task = self.graph.task(t);
+        let start = drt.max(self.avail[pe_idx]);
+        let finish = start + task.exec_time(pe);
+        self.avail[pe_idx] = finish;
+        self.tasks[t.index()] = TaskPlacement::new(pe, start, finish);
+        if let Some(deadline) = task.deadline() {
+            if finish > deadline {
+                self.bad.0 += 1;
+                self.bad.1 += finish - deadline;
+            }
+        }
+        self.ptr[pe_idx] += 1;
+        self.placed += 1;
+        self.log.push(t);
+        for s in self.graph.successors(t) {
+            self.preds_left[s.index()] -= 1;
+        }
+    }
+
+    /// The run's placements as a [`Schedule`] (every task placed).
+    fn schedule(&self) -> Schedule {
+        let comms = self
+            .comms
+            .iter()
+            .map(|&(route, start, finish)| CommPlacement::new(route.to_vec(), start, finish))
+            .collect();
+        Schedule::new(self.tasks.clone(), comms)
+    }
+}
+
+/// The first examination of one queue position.
+#[derive(Debug, Clone, Copy)]
+struct Exam {
+    /// Order among first examinations.
+    seq: usize,
+    /// Tasks placed before it.
+    step: usize,
+    cursor: Cursor,
+}
+
+/// One complete run of the loop, recorded so that a later run over a
+/// changed order can resume where it first differs. Linear in the task
+/// count: queue pointers and PE availabilities are rebuilt step by step
+/// from `tasks` and `freed` rather than stored per step.
+#[derive(Debug, Default)]
+struct Record {
+    /// Per step `s` (the state after `s` placements, `0..=n`): the
+    /// table-log mark and the running badness.
+    marks: Vec<Mark>,
+    bads: Vec<Badness>,
+    /// Per placement: the task placed, and when its PE was free before.
+    tasks: Vec<TaskId>,
+    freed: Vec<Time>,
+    /// Per queue position, one past the end included, at
+    /// `offsets[pe] + position`: its first examination.
+    offsets: Vec<usize>,
+    exams: Vec<Option<Exam>>,
+    /// First examinations so far.
+    seen: usize,
+}
+
+impl Record {
+    /// Clears the record for a run over `order`.
+    fn restart(&mut self, order: &[Vec<TaskId>]) {
+        self.marks.clear();
+        self.bads.clear();
+        self.freed.clear();
+        self.offsets.clear();
+        let mut total = 0;
+        for queue in order {
+            self.offsets.push(total);
+            total += queue.len() + 1;
+        }
+        self.exams.clear();
+        self.exams.resize(total, None);
+        self.seen = 0;
+    }
+
+    fn examine(&mut self, cursor: Cursor, pos: usize, step: usize) {
+        let slot = &mut self.exams[self.offsets[cursor.pe] + pos];
+        if slot.is_none() {
+            *slot = Some(Exam {
+                seq: self.seen,
+                step,
+                cursor,
+            });
+            self.seen += 1;
+        }
+    }
+
+    fn snapshot(&mut self, run: &Loop<'_>) {
+        self.marks.push(run.tables.checkpoint());
+        self.bads.push(run.bad);
+    }
+
+    fn exam(&self, pe: PeId, pos: usize) -> Exam {
+        self.exams[self.offsets[pe.index()] + pos].expect("a completed run examines every position")
+    }
+}
+/// Candidate evaluation for search and repair (Step 3).
+///
+/// Holds the current (assignment, order)'s run of the loop, recorded
+/// step by step. A candidate move agrees with that run up to the first
+/// examination of a position the move changes, so its evaluation
+/// restores the recorded state there and continues the loop over the
+/// candidate order. It stops as soon as its running badness reaches the
+/// current one — both components only grow — and allocates nothing. Only
+/// an accepted move is re-timed in full, recorded and materialised.
+///
+/// Between evaluations the tables and predecessor counts, with `ptr` and
+/// `avail`, hold the current run's state at step `base`, and the
+/// placement buffer holds the current run's placements.
+pub(crate) struct Retimer<'a> {
+    run: Loop<'a>,
+    rec: Record,
+    base: usize,
+    ptr: Vec<usize>,
+    avail: Vec<Time>,
+    current: Schedule,
+}
+
+impl<'a> Retimer<'a> {
+    /// Re-times and records `oa` as the current run; `None` on a
+    /// cross-PE ordering deadlock.
+    pub(crate) fn new(
+        graph: &'a TaskGraph,
+        platform: &'a Platform,
+        oa: &OrderedAssignment,
+    ) -> Option<Self> {
+        let mut retimer = Retimer {
+            run: Loop::new(graph, platform),
+            rec: Record::default(),
+            base: 0,
+            ptr: Vec::new(),
+            avail: Vec::new(),
+            current: Schedule::new(Vec::new(), Vec::new()),
+        };
+        retimer.record(oa).then_some(retimer)
+    }
+
+    /// The current schedule.
+    pub(crate) fn schedule(&self) -> &Schedule {
+        &self.current
+    }
+
+    /// The current schedule's badness.
+    pub(crate) fn badness(&self) -> Badness {
+        *self
+            .rec
+            .bads
+            .last()
+            .expect("a recorded run has a final step")
+    }
+
+    pub(crate) fn into_schedule(self) -> Schedule {
+        self.current
+    }
+
+    /// Whether `oa` — the current order with a move applied — re-times
+    /// without deadlock to a badness below the current one. `changed`
+    /// lists each queue whose content the move changed, at the first
+    /// position it changed (a queue's length for an append): an LTS swap
+    /// of positions `p2 < p1` on PE `k` changes `(k, p2)`; a migration
+    /// changes its source position and its destination anchor. The
+    /// verdict equals `badness(retime(oa)) < badness()`.
+    pub(crate) fn beats(&mut self, oa: &OrderedAssignment, changed: &[(PeId, usize)]) -> bool {
+        let exam = changed
+            .iter()
+            .map(|&(pe, pos)| self.rec.exam(pe, pos))
+            .min_by_key(|e| e.seq)
+            .expect("a move changes a position");
+        let step = exam.step;
+        let best = self.badness();
+        if self.rec.bads[step] >= best {
+            return false;
+        }
+        self.seek(step);
+        let run = &mut self.run;
+        run.ptr.copy_from_slice(&self.ptr);
+        run.avail.copy_from_slice(&self.avail);
+        run.bad = self.rec.bads[step];
+        run.placed = step;
+        run.log.clear();
+        let outcome = run.run(&oa.order, exam.cursor, Some(best), None);
+
+        // Undo the candidate's placements: back to the current run at
+        // `step`.
+        let graph = run.graph;
+        for &t in &run.log {
+            for s in graph.successors(t) {
+                run.preds_left[s.index()] += 1;
+            }
+            run.tasks[t.index()] = *self.current.task(t);
+        }
+        run.tables.rollback(self.rec.marks[step]);
+        outcome == Outcome::Done
+    }
+
+    /// Makes `oa`, which [`beats`](Self::beats) accepted, the current
+    /// run.
+    pub(crate) fn accept(&mut self, oa: &OrderedAssignment) {
+        assert!(self.record(oa), "an accepted move re-times");
+    }
+
+    /// Re-times `oa` from scratch, recording it as the current run.
+    fn record(&mut self, oa: &OrderedAssignment) -> bool {
+        self.run.restart(oa.order.len());
+        self.rec.restart(&oa.order);
+        self.rec.snapshot(&self.run);
+        if self
+            .run
+            .run(&oa.order, Cursor::START, None, Some(&mut self.rec))
+            != Outcome::Done
+        {
+            return false;
+        }
+        std::mem::swap(&mut self.rec.tasks, &mut self.run.log);
+        self.base = self.rec.tasks.len();
+        self.ptr.clone_from(&self.run.ptr);
+        self.avail.clone_from(&self.run.avail);
+        self.current = self.run.schedule();
+        debug_assert_eq!(self.badness(), badness(&self.current, self.run.graph));
+        true
+    }
+
+    /// Moves the base state to the current run's state after `step`
+    /// placements: backwards by undoing the recorded steps, forwards by
+    /// replaying them from the current schedule, its transactions
+    /// re-reserved.
+    fn seek(&mut self, step: usize) {
+        let graph = self.run.graph;
+        if step < self.base {
+            for i in (step..self.base).rev() {
+                let t = self.rec.tasks[i];
+                let k = self.current.task(t).pe.index();
+                self.ptr[k] -= 1;
+                self.avail[k] = self.rec.freed[i];
+                for s in graph.successors(t) {
+                    self.run.preds_left[s.index()] += 1;
+                }
+            }
+            self.run.tables.rollback(self.rec.marks[step]);
+        } else {
+            for &t in &self.rec.tasks[self.base..step] {
+                let placed = self.current.task(t);
+                self.ptr[placed.pe.index()] += 1;
+                self.avail[placed.pe.index()] = placed.finish;
+                for s in graph.successors(t) {
+                    self.run.preds_left[s.index()] -= 1;
+                }
+                for &e in graph.incoming(t) {
+                    let c = self.current.comm(e);
+                    self.run
+                        .tables
+                        .reserve_path(&c.route, c.start, c.finish - c.start);
+                }
+            }
+            debug_assert_eq!(self.run.tables.checkpoint(), self.rec.marks[step]);
+        }
+        self.base = step;
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +606,94 @@ mod tests {
         assert_eq!(oa0, oa1);
         let s2 = retime(&g, &p, &oa1).unwrap();
         assert_eq!(s1, s2, "retime must be a fixpoint on its own output");
+    }
+
+    fn mesh(cols: u16, rows: u16) -> Platform {
+        Platform::builder()
+            .topology(TopologySpec::mesh(cols, rows))
+            .pe_mix(PeCatalog::date04().cycle_mix())
+            .build()
+            .unwrap()
+    }
+
+    /// Asserts the evaluator's verdict on the candidate `oa` against a
+    /// full re-time, returning whether the candidate deadlocks.
+    fn check(
+        search: &mut Retimer<'_>,
+        g: &TaskGraph,
+        p: &Platform,
+        oa: &OrderedAssignment,
+        changed: &[(PeId, usize)],
+    ) -> (bool, bool) {
+        let full = retime(g, p, oa);
+        let expect = full
+            .as_ref()
+            .is_some_and(|s| badness(s, g) < search.badness());
+        assert_eq!(search.beats(oa, changed), expect, "move at {changed:?}");
+        (expect, full.is_none())
+    }
+
+    /// The evaluator's verdict on every LTS swap and every GTM move (each
+    /// task to each other PE at each anchor) equals `badness(retime(..))
+    /// < best`, on the rebased schedule and after each accepted move.
+    #[test]
+    fn evaluator_matches_full_retime_on_every_move() {
+        use crate::scheduler::Scheduler;
+        use noc_ctg::prelude::{TgffConfig, TgffGenerator};
+
+        let (mut into_empty, mut appends, mut deadlocks) = (0, 0, 0);
+        for (cols, rows, tasks, seed, laxity) in
+            [(2, 2, 40, 2, 0.9), (2, 2, 40, 9, 0.9), (4, 4, 12, 1, 0.5)]
+        {
+            let p = mesh(cols, rows);
+            let mut cfg = TgffConfig::category_i(seed);
+            cfg.task_count = tasks;
+            cfg.deadline_laxity = laxity;
+            let g = TgffGenerator::new(cfg).generate(&p).unwrap();
+            let base = crate::EasScheduler::base().schedule(&g, &p).unwrap();
+            let mut oa = OrderedAssignment::from_schedule(&base.schedule, &p);
+            let mut search = Retimer::new(&g, &p, &oa).expect("rebases");
+            assert!(search.badness().0 > 0, "seed {seed} needs repair");
+            for _ in 0..3 {
+                assert_eq!(search.schedule(), &retime(&g, &p, &oa).unwrap());
+                let mut accepted = None;
+                for k in p.pes() {
+                    let queue = oa.order[k.index()].clone();
+                    for pos1 in 0..queue.len() {
+                        for pos2 in 0..pos1 {
+                            oa.swap(queue[pos1], queue[pos2]);
+                            let (beats, deadlock) = check(&mut search, &g, &p, &oa, &[(k, pos2)]);
+                            deadlocks += usize::from(deadlock);
+                            if beats && accepted.is_none() {
+                                accepted = Some(oa.clone());
+                            }
+                            oa.swap(queue[pos1], queue[pos2]);
+                        }
+                    }
+                }
+                for t in g.task_ids() {
+                    let (src, src_pos) = (oa.assignment[t.index()], oa.position(t));
+                    for dst in p.pes().filter(|&k| k != src) {
+                        let len = oa.order[dst.index()].len();
+                        for anchor in 0..=len {
+                            oa.migrate(t, dst, anchor);
+                            let changed = [(src, src_pos), (dst, anchor)];
+                            let (beats, _) = check(&mut search, &g, &p, &oa, &changed);
+                            into_empty += usize::from(len == 0);
+                            appends += usize::from(len > 0 && anchor == len);
+                            if beats && accepted.is_none() {
+                                accepted = Some(oa.clone());
+                            }
+                            oa.migrate(t, src, src_pos);
+                        }
+                    }
+                }
+                let Some(next) = accepted else { break };
+                oa = next;
+                search.accept(&oa);
+            }
+        }
+        assert!(into_empty > 0 && appends > 0 && deadlocks > 0);
     }
 
     #[test]

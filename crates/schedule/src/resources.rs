@@ -116,8 +116,7 @@ impl ResourceTables {
     /// for `duration` — the merged "path schedule table" of Fig. 3.
     #[must_use]
     pub fn earliest_path_slot(&self, route: &[LinkId], ready: Time, duration: Time) -> Time {
-        let tables: Vec<&ScheduleTable> = route.iter().map(|l| &self.link[l.index()]).collect();
-        find_earliest_across(&tables, ready, duration)
+        find_earliest_across(route.iter().map(|l| &self.link[l.index()]), ready, duration)
     }
 
     /// Reserves `[start, start + duration)` on `pe` (logged).

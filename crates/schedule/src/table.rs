@@ -187,17 +187,25 @@ impl fmt::Display for ScheduleTable {
 /// simultaneously idle for `duration` — the Fig. 3 "path schedule table"
 /// built by merging the occupied slots of a route's links.
 ///
+/// `tables` is walked once per candidate bump, so it must be cheap to
+/// clone (a slice iterator, or a route mapped to its link tables).
+///
 /// Runs in `O(total slots)` per candidate bump; candidates only move
 /// forward, so overall `O(k * total slots)` with `k` small in practice.
 #[must_use]
-pub fn find_earliest_across(tables: &[&ScheduleTable], ready: Time, duration: Time) -> Time {
-    if duration == Time::ZERO || tables.is_empty() {
+pub fn find_earliest_across<'a, I>(tables: I, ready: Time, duration: Time) -> Time
+where
+    I: IntoIterator<Item = &'a ScheduleTable>,
+    I::IntoIter: Clone,
+{
+    if duration == Time::ZERO {
         return ready;
     }
+    let tables = tables.into_iter();
     let mut candidate = ready;
     loop {
         let mut moved = false;
-        for t in tables {
+        for t in tables.clone() {
             let earliest = t.find_earliest(candidate, duration);
             if earliest > candidate {
                 candidate = earliest;
@@ -299,14 +307,14 @@ mod tests {
         a.occupy(t(0), t(10)); // a busy [0,10)
         b.occupy(t(15), t(10)); // b busy [15,25)
                                 // Need 6 ticks in both: [10,15) too small, so 25.
-        assert_eq!(find_earliest_across(&[&a, &b], t(0), t(6)), t(25));
+        assert_eq!(find_earliest_across([&a, &b], t(0), t(6)), t(25));
         // 5 ticks fit exactly in [10,15).
-        assert_eq!(find_earliest_across(&[&a, &b], t(0), t(5)), t(10));
+        assert_eq!(find_earliest_across([&a, &b], t(0), t(5)), t(10));
     }
 
     #[test]
     fn across_empty_list_returns_ready() {
-        assert_eq!(find_earliest_across(&[], t(9), t(5)), t(9));
+        assert_eq!(find_earliest_across([], t(9), t(5)), t(9));
     }
 
     #[test]

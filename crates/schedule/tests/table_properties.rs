@@ -83,7 +83,7 @@ proptest! {
             b.occupy(start, Time::new(d));
         }
         let (ready, dur) = (Time::new(ready), Time::new(dur));
-        let fast = find_earliest_across(&[&a, &b], ready, dur);
+        let fast = find_earliest_across([&a, &b], ready, dur);
         // Brute force from `ready` upwards.
         let mut t = ready;
         let brute = loop {

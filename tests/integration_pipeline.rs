@@ -209,9 +209,9 @@ fn tgff(platform: &Platform, seed: u64, tasks: usize, laxity: f64) -> TaskGraph 
 
 /// Digests pinned by [`schedules_and_repair_counters_match_golden_digests`],
 /// in its run order: EAS on the three svc_cold-like graphs, EAS on the
-/// three tight graphs, EAS-base on the svc_cold-like graphs, then the
-/// warm-start repair.
-const GOLDEN: [Golden; 10] = [
+/// three tight graphs, EAS-base on the svc_cold-like graphs, the
+/// warm-start repair, then EAS on Fig. 6 benchmark 5.
+const GOLDEN: [Golden; 11] = [
     (0xf58cae58ab0b9e69, (0, 0, 0)),
     (0xc5fb7c05d2dcaaa6, (0, 0, 0)),
     (0xfde4ccce16983222, (0, 0, 0)),
@@ -222,6 +222,7 @@ const GOLDEN: [Golden; 10] = [
     (0xc5fb7c05d2dcaaa6, (0, 0, 0)),
     (0xfde4ccce16983222, (0, 0, 0)),
     (0x69cb6bd0a53d3da3, (2, 31, 1994)),
+    (0xd69c5772b862eab2, (17, 6, 13228)),
 ];
 
 /// Golden-byte oracle for the scheduler hot path: F(i,k) evaluation,
@@ -264,6 +265,11 @@ fn schedules_and_repair_counters_match_golden_digests() {
     let delta = repair_from(&tight[0], &prior.schedule, &edited, &applied).expect("repairs");
     assert!(delta.warm_start, "reason: {}", delta.reason);
     got.push(golden(&delta.outcome));
+    // Paper scale: category-II seed 5, the cheapest Fig. 6 benchmark
+    // that needs repair (500 tasks, 13k candidate re-timings).
+    let fig6 = tgff(&p44, 5, 500, 1.55);
+    let out = EasScheduler::full().schedule(&fig6, &p44).expect("eas");
+    got.push(golden(&out));
 
     let tight_runs = &got[3..6];
     assert!(tight_runs.iter().any(|(_, (lts, _, _))| *lts > 0));
