@@ -21,7 +21,7 @@ use noc_platform::units::{Energy, Time};
 
 use crate::budget::SlackBudgets;
 use crate::limit::{ComputeBudget, Interrupt};
-use crate::placer::Placer;
+use crate::placer::{Placer, Trial};
 use crate::scheduler::CommModel;
 use crate::trace::{EventKind, Tracer};
 
@@ -77,10 +77,22 @@ pub(crate) fn level_schedule_traced(
 ) -> Result<(), Interrupt> {
     // Candidate PEs: dead ones (platform faults) are masked out.
     let pes: Vec<PeId> = placer.platform().alive_pes().collect();
+    let n_pe = pes.len();
+    // `energy_for(t, k)` reads only the placements of `t`'s senders,
+    // which are fixed once `t` is ready: each task's row (one energy per
+    // candidate PE) is computed the first round it is ready.
+    let task_count = placer.graph().task_count();
+    let mut energies = vec![Energy::ZERO; task_count * n_pe];
+    let mut energies_known = vec![false; task_count];
+    // Per-round buffers, reused: the ready level and its F(i,k) trials,
+    // task-major in PE order (row `i` is ready task `i`).
+    let mut ready: Vec<TaskId> = Vec::new();
+    let mut trials: Vec<Trial> = Vec::new();
     let mut round = 0usize;
     while !placer.is_done() {
         budget.check()?;
-        let ready: Vec<TaskId> = placer.ready_tasks().to_vec();
+        ready.clear();
+        ready.extend_from_slice(placer.ready_tasks());
         debug_assert!(!ready.is_empty(), "DAG guarantees progress");
 
         let span = tracer.on().then(|| format!("level:{round}"));
@@ -89,9 +101,15 @@ pub(crate) fn level_schedule_traced(
         }
         round += 1;
 
-        // F(i,k) for the whole ready level, task-major in PE order.
-        let mut trials = Vec::with_capacity(ready.len() * pes.len());
+        trials.clear();
         for &t in &ready {
+            if !energies_known[t.index()] {
+                energies_known[t.index()] = true;
+                let row = &mut energies[t.index() * n_pe..][..n_pe];
+                for (e, &k) in row.iter_mut().zip(&pes) {
+                    *e = placer.energy_for(t, k);
+                }
+            }
             for &k in &pes {
                 let (trial, cache_hit) = placer.cached_trial(t, k, model);
                 if tracer.on() {
@@ -106,10 +124,8 @@ pub(crate) fn level_schedule_traced(
                 trials.push(trial);
             }
         }
-        let finishes: Vec<Vec<Time>> = trials
-            .chunks(pes.len())
-            .map(|row| row.iter().map(|t| t.finish).collect())
-            .collect();
+        let trials_of = |i: usize| &trials[i * n_pe..][..n_pe];
+        let energies_of = |t: TaskId| &energies[t.index() * n_pe..][..n_pe];
 
         // Urgency rule: schedule the most-over-budget task ASAP.
         let mut urgent: Option<(usize, Time)> = None; // (ready idx, excess)
@@ -118,7 +134,11 @@ pub(crate) fn level_schedule_traced(
             if bd.is_infinite() {
                 continue;
             }
-            let min_f = *finishes[i].iter().min().expect("at least one PE");
+            let min_f = trials_of(i)
+                .iter()
+                .map(|trial| trial.finish)
+                .min()
+                .expect("at least one PE");
             if min_f >= bd {
                 let excess = min_f - bd;
                 if urgent.is_none_or(|(_, e)| excess > e) {
@@ -128,23 +148,21 @@ pub(crate) fn level_schedule_traced(
         }
         if let Some((i, excess)) = urgent {
             let t = ready[i];
-            let k = best_finish_pe(placer, &pes, &finishes[i], t);
+            let j = best_finish_pe(&pes, trials_of(i), energies_of(t));
             if tracer.on() {
-                let j = pes.iter().position(|&p| p == k).expect("pe in list");
-                let bd = budgets.budgeted_deadline(t);
                 tracer.emit(EventKind::Select {
                     task: t.index(),
-                    pe: k.index(),
+                    pe: pes[j].index(),
                     rule: "urgency",
                     excess_ticks: Some(excess.ticks()),
                     regret_nj: None,
-                    feasible: finishes[i].iter().filter(|&&f| f <= bd).count(),
-                    energy_nj: placer.energy_for(t, k).as_nj(),
-                    start: trials[i * pes.len() + j].start.ticks(),
-                    finish: finishes[i][j].ticks(),
+                    feasible: feasible(trials_of(i), budgets.budgeted_deadline(t)),
+                    energy_nj: energies_of(t)[j].as_nj(),
+                    start: trials_of(i)[j].start.ticks(),
+                    finish: trials_of(i)[j].finish.ticks(),
                 });
             }
-            placer.commit_traced(t, k, tracer);
+            placer.commit_traced(t, pes[j], tracer);
             if let Some(span) = &span {
                 tracer.end(span);
             }
@@ -152,41 +170,38 @@ pub(crate) fn level_schedule_traced(
         }
 
         // Energy-regret rule: δE = E2 − E1 over the budget-feasible PEs.
-        let mut best: Option<(usize, f64, PeId)> = None; // (ready idx, δE, E1's PE)
+        let mut best: Option<(usize, f64, usize)> = None; // (ready idx, δE, E1's PE idx)
         for (i, &t) in ready.iter().enumerate() {
             let bd = budgets.budgeted_deadline(t);
-            let mut e1: Option<(Energy, Time, PeId)> = None;
+            let row = trials_of(i);
+            let mut e1: Option<(Energy, Time, usize)> = None;
             let mut e2: Option<Energy> = None;
-            for (j, &k) in pes.iter().enumerate() {
-                if finishes[i][j] > bd {
+            for (j, &e) in energies_of(t).iter().enumerate() {
+                let f = row[j].finish;
+                if f > bd {
                     continue; // not budget-feasible
                 }
-                let e = placer.energy_for(t, k);
                 match e1 {
-                    None => e1 = Some((e, finishes[i][j], k)),
-                    Some((be, bf, bk)) => {
-                        if (e, finishes[i][j], k.index()) < (be, bf, bk.index()) {
+                    None => e1 = Some((e, f, j)),
+                    Some((be, bf, bj)) => {
+                        if (e, f, pes[j].index()) < (be, bf, pes[bj].index()) {
                             e2 = Some(be);
-                            e1 = Some((e, finishes[i][j], k));
+                            e1 = Some((e, f, j));
                         } else if e2.is_none_or(|s| e < s) {
                             e2 = Some(e);
                         }
                     }
                 }
             }
-            let (e1, _, k1) = match e1 {
-                Some(v) => (v.0, v.1, v.2),
+            let (e1, j1) = match e1 {
+                Some((e, _, j)) => (e, j),
                 // All PEs bust the budget, yet the urgency rule did not
                 // fire: only possible when min_F == BD triggers urgency
                 // first, so this branch is unreachable for finite BD; for
                 // safety fall back to the fastest PE.
                 None => {
-                    let k = best_finish_pe(placer, &pes, &finishes[i], t);
-                    (
-                        placer.energy_for(t, k),
-                        finishes[i][pes.iter().position(|&p| p == k).expect("pe in list")],
-                        k,
-                    )
+                    let j = best_finish_pe(&pes, row, energies_of(t));
+                    (energies_of(t)[j], j)
                 }
             };
             let delta = match e2 {
@@ -194,27 +209,25 @@ pub(crate) fn level_schedule_traced(
                 None => f64::INFINITY, // single feasible PE: must take it now
             };
             if best.is_none_or(|(_, d, _)| delta > d) {
-                best = Some((i, delta, k1));
+                best = Some((i, delta, j1));
             }
         }
-        let (i, delta, k) = best.expect("nonempty ready list");
+        let (i, delta, j) = best.expect("nonempty ready list");
         let t = ready[i];
         if tracer.on() {
-            let j = pes.iter().position(|&p| p == k).expect("pe in list");
-            let bd = budgets.budgeted_deadline(t);
             tracer.emit(EventKind::Select {
                 task: t.index(),
-                pe: k.index(),
+                pe: pes[j].index(),
                 rule: "regret",
                 excess_ticks: None,
                 regret_nj: delta.is_finite().then_some(delta),
-                feasible: finishes[i].iter().filter(|&&f| f <= bd).count(),
-                energy_nj: placer.energy_for(t, k).as_nj(),
-                start: trials[i * pes.len() + j].start.ticks(),
-                finish: finishes[i][j].ticks(),
+                feasible: feasible(trials_of(i), budgets.budgeted_deadline(t)),
+                energy_nj: energies_of(t)[j].as_nj(),
+                start: trials_of(i)[j].start.ticks(),
+                finish: trials_of(i)[j].finish.ticks(),
             });
         }
-        placer.commit_traced(t, k, tracer);
+        placer.commit_traced(t, pes[j], tracer);
         if let Some(span) = &span {
             tracer.end(span);
         }
@@ -222,16 +235,17 @@ pub(crate) fn level_schedule_traced(
     Ok(())
 }
 
-/// The PE giving the earliest finish (ties: lower energy, then lower id).
-fn best_finish_pe(placer: &Placer<'_>, pes: &[PeId], finishes: &[Time], t: TaskId) -> PeId {
-    let mut best = (finishes[0], placer.energy_for(t, pes[0]), pes[0]);
-    for (j, &k) in pes.iter().enumerate().skip(1) {
-        let cand = (finishes[j], placer.energy_for(t, k), k);
-        if (cand.0, cand.1, cand.2.index()) < (best.0, best.1, best.2.index()) {
-            best = cand;
-        }
-    }
-    best.2
+/// The index into `pes` of the PE giving the earliest finish (ties:
+/// lower energy, then lower id). `trials` and `energies` are indexed
+/// like `pes`.
+fn best_finish_pe(pes: &[PeId], trials: &[Trial], energies: &[Energy]) -> usize {
+    let key = |j: usize| (trials[j].finish, energies[j], pes[j].index());
+    (1..pes.len()).fold(0, |best, j| if key(j) < key(best) { j } else { best })
+}
+
+/// How many of a task's trials finish within its budgeted deadline.
+fn feasible(trials: &[Trial], bd: Time) -> usize {
+    trials.iter().filter(|trial| trial.finish <= bd).count()
 }
 
 #[cfg(test)]

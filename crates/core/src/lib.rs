@@ -88,6 +88,6 @@ pub mod prelude {
         CommModel, DlsScheduler, EasConfig, EasScheduler, EdfScheduler, ScheduleOutcome, Scheduler,
         WeightFunction,
     };
-    pub use crate::trace::{BufferSink, NullSink, TraceSink, TraceSummary, Tracer};
+    pub use crate::trace::{BufferSink, NullSink, SummarySink, TraceSink, TraceSummary, Tracer};
     pub use crate::SchedulerError;
 }

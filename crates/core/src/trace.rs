@@ -20,7 +20,9 @@
 //! Exporters: [`to_jsonl`] (one JSON object per line), [`to_chrome_trace`]
 //! (Chrome trace-event JSON, loadable in Perfetto / `chrome://tracing`),
 //! [`TraceSummary`] (per-stage durations and counters) and [`explain`]
-//! (a per-task human-readable decision narrative).
+//! (a per-task human-readable decision narrative). When only the summary
+//! is wanted, [`SummarySink`] folds events into it as they arrive and
+//! keeps none of them.
 //!
 //! [`Scheduler::schedule_traced`]: crate::scheduler::Scheduler::schedule_traced
 
@@ -430,14 +432,63 @@ impl TraceSink for BufferSink {
     }
 
     fn record(&mut self, kind: EventKind) {
-        let wall_us = self
-            .origin
-            .map(|o| u64::try_from(o.elapsed().as_micros()).unwrap_or(u64::MAX));
         self.events.push(Event {
             seq: self.events.len() as u64,
-            wall_us,
+            wall_us: self.origin.map(micros_since),
             kind,
         });
+    }
+}
+
+/// Wall-clock microseconds elapsed since `origin`, saturating.
+fn micros_since(origin: Instant) -> u64 {
+    u64::try_from(origin.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// A sink that keeps only the [`TraceSummary`] of its trace: each event
+/// is folded in as it arrives and then dropped. The clock is read only
+/// when a stage span (a name without `:`) opens or closes, not once per
+/// event, so a job's thousands of trial events cost no clock reads and
+/// no buffer. The summary equals [`TraceSummary::from_events`] over a
+/// [`BufferSink::with_wall_clock`] recording of the same run, up to the
+/// wall-clock values of [`TraceSummary::stage_micros`].
+#[derive(Debug)]
+pub struct SummarySink {
+    fold: SummaryFold,
+    origin: Instant,
+}
+
+impl SummarySink {
+    /// An empty summary whose stage clock starts now.
+    #[must_use]
+    pub fn new() -> Self {
+        SummarySink {
+            fold: SummaryFold::default(),
+            origin: Instant::now(),
+        }
+    }
+
+    /// Consumes the sink, returning its summary.
+    #[must_use]
+    pub fn into_summary(self) -> TraceSummary {
+        self.fold.summary
+    }
+}
+
+impl Default for SummarySink {
+    fn default() -> Self {
+        SummarySink::new()
+    }
+}
+
+impl TraceSink for SummarySink {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, kind: EventKind) {
+        let origin = self.origin;
+        self.fold.observe(&kind, || Some(micros_since(origin)));
     }
 }
 
@@ -596,7 +647,8 @@ pub struct TraceSummary {
     /// Budget steps consumed at the last poll.
     pub budget_steps: u64,
     /// Wall-clock microseconds per top-level stage (spans whose name
-    /// has no `:`), in first-open order. Empty on logical-only traces.
+    /// has no `:`), in the order each stage first closes. Empty on
+    /// logical-only traces.
     pub stage_micros: Vec<(String, u64)>,
 }
 
@@ -604,64 +656,85 @@ impl TraceSummary {
     /// Computes the summary of an event stream.
     #[must_use]
     pub fn from_events(events: &[Event]) -> Self {
-        let mut s = TraceSummary {
-            events: events.len(),
-            ..TraceSummary::default()
-        };
-        // Open spans: (name, begin wall stamp). Spans nest, so matching
-        // the latest open entry with the same name is exact.
-        let mut open: Vec<(&str, Option<u64>)> = Vec::new();
+        let mut fold = SummaryFold::default();
         for event in events {
-            match &event.kind {
-                EventKind::SpanBegin { name } => open.push((name, event.wall_us)),
-                EventKind::SpanEnd { name } => {
-                    let at = open.iter().rposition(|(n, _)| n == name);
-                    if let Some(at) = at {
-                        let (_, begin) = open.remove(at);
-                        if name.contains(':') {
-                            continue;
-                        }
-                        if let (Some(b), Some(e)) = (begin, event.wall_us) {
-                            let micros = e.saturating_sub(b);
-                            match s.stage_micros.iter_mut().find(|(n, _)| n == name) {
-                                Some(slot) => slot.1 += micros,
-                                None => s.stage_micros.push((name.clone(), micros)),
-                            }
-                        }
-                    }
-                }
-                EventKind::Trial { cache_hit, .. } => {
-                    s.trials += 1;
-                    if *cache_hit {
-                        s.cache_hits += 1;
-                    }
-                }
-                EventKind::Select { rule, .. } => {
-                    if *rule == "urgency" {
-                        s.selects_urgency += 1;
-                    } else {
-                        s.selects_regret += 1;
-                    }
-                }
-                EventKind::CommReserve { wait_ticks, .. } => {
-                    s.comm_transactions += 1;
-                    s.contention_wait_ticks += wait_ticks;
-                }
-                EventKind::LtsSwap { .. } => s.lts_moves += 1,
-                EventKind::GtmMove { .. } => s.gtm_moves += 1,
-                EventKind::AnnealChain { .. } => s.anneal_chains += 1,
-                EventKind::DeltaDecision { warm_start, .. } => {
-                    if *warm_start {
-                        s.delta_warm += 1;
-                    } else {
-                        s.delta_fallback += 1;
-                    }
-                }
-                EventKind::BudgetPoll { steps, .. } => s.budget_steps = *steps,
-                EventKind::TaskBudget { .. } => {}
-            }
+            fold.observe(&event.kind, || event.wall_us);
         }
-        s
+        fold.summary
+    }
+}
+
+/// The one fold behind every [`TraceSummary`]: the summary so far plus
+/// the stage spans still open. [`TraceSummary::from_events`] feeds it
+/// recorded events; [`SummarySink`] feeds it live ones.
+#[derive(Debug, Default)]
+struct SummaryFold {
+    summary: TraceSummary,
+    /// Open stage spans: (name, begin wall stamp). Spans nest, so
+    /// matching the latest open entry with the same name is exact.
+    /// Sub-spans (`level:3`) are not timed and never match a stage
+    /// name, so they are not kept.
+    open: Vec<(String, Option<u64>)>,
+}
+
+impl SummaryFold {
+    /// Folds in one event. `stamp` yields the event's wall-clock
+    /// micros; it is called only when a stage span opens or closes.
+    fn observe(&mut self, kind: &EventKind, stamp: impl FnOnce() -> Option<u64>) {
+        let s = &mut self.summary;
+        s.events += 1;
+        match kind {
+            EventKind::SpanBegin { name } => {
+                if !name.contains(':') {
+                    self.open.push((name.clone(), stamp()));
+                }
+            }
+            EventKind::SpanEnd { name } => {
+                if name.contains(':') {
+                    return;
+                }
+                let Some(at) = self.open.iter().rposition(|(n, _)| n == name) else {
+                    return;
+                };
+                let (_, begin) = self.open.remove(at);
+                if let (Some(b), Some(e)) = (begin, stamp()) {
+                    let micros = e.saturating_sub(b);
+                    match s.stage_micros.iter_mut().find(|(n, _)| n == name) {
+                        Some(slot) => slot.1 += micros,
+                        None => s.stage_micros.push((name.clone(), micros)),
+                    }
+                }
+            }
+            EventKind::Trial { cache_hit, .. } => {
+                s.trials += 1;
+                if *cache_hit {
+                    s.cache_hits += 1;
+                }
+            }
+            EventKind::Select { rule, .. } => {
+                if *rule == "urgency" {
+                    s.selects_urgency += 1;
+                } else {
+                    s.selects_regret += 1;
+                }
+            }
+            EventKind::CommReserve { wait_ticks, .. } => {
+                s.comm_transactions += 1;
+                s.contention_wait_ticks += wait_ticks;
+            }
+            EventKind::LtsSwap { .. } => s.lts_moves += 1,
+            EventKind::GtmMove { .. } => s.gtm_moves += 1,
+            EventKind::AnnealChain { .. } => s.anneal_chains += 1,
+            EventKind::DeltaDecision { warm_start, .. } => {
+                if *warm_start {
+                    s.delta_warm += 1;
+                } else {
+                    s.delta_fallback += 1;
+                }
+            }
+            EventKind::BudgetPoll { steps, .. } => s.budget_steps = *steps,
+            EventKind::TaskBudget { .. } => {}
+        }
     }
 }
 

@@ -37,8 +37,8 @@ use serde::{Deserialize, Value};
 
 use noc_ctg::prelude::TaskGraph;
 use noc_eas::prelude::{
-    apply_edits, apply_platform_edits, repair_from_traced, AppliedEdits, BufferSink, ComputeBudget,
-    EdfScheduler, Edit, Scheduler, SchedulerError, TraceSummary,
+    apply_edits, apply_platform_edits, repair_from_traced, AppliedEdits, ComputeBudget,
+    EdfScheduler, Edit, Scheduler, SchedulerError, SummarySink, TraceSummary,
 };
 use noc_platform::prelude::Platform;
 
@@ -1102,10 +1102,12 @@ impl Engine {
     /// polynomial schedule marked `"degraded": true` — so an expired
     /// budget degrades quality instead of failing the request.
     ///
-    /// Every run is traced into a wall-clock [`BufferSink`]: the trace
-    /// feeds the `noc_svc_stage_seconds` histograms and the per-job
-    /// stats block, while the schedule itself stays byte-identical to
-    /// an untraced run (logical timestamps carry all ordering).
+    /// Every run is traced into a [`SummarySink`], which folds each
+    /// event into the job's [`TraceSummary`] as it arrives and reads
+    /// the clock only at stage boundaries. The summary feeds the
+    /// `noc_svc_stage_seconds` histograms and the per-job stats block,
+    /// while the schedule itself stays byte-identical to an untraced
+    /// run: tracing only observes.
     fn execute(&self, work: &JobWork) -> Result<JobOutput, String> {
         match work {
             JobWork::Schedule {
@@ -1125,7 +1127,7 @@ impl Engine {
         scheduler: &(dyn Scheduler + Send + Sync),
         scheduler_name: &str,
     ) -> Result<JobOutput, String> {
-        let mut sink = BufferSink::with_wall_clock();
+        let mut sink = SummarySink::new();
         let outcome = match self.config.budget_ms {
             None => {
                 scheduler.schedule_traced(graph, platform, &ComputeBudget::unlimited(), &mut sink)
@@ -1158,7 +1160,7 @@ impl Engine {
         match outcome {
             Ok(outcome) => {
                 let response = ScheduleResponse::from_outcome(scheduler_name, &outcome);
-                Ok(self.render_with_stats(&sink, response.to_json()))
+                Ok(self.render_with_stats(&sink.into_summary(), response.to_json()))
             }
             Err(e) => Err(e.to_string()),
         }
@@ -1220,7 +1222,7 @@ impl Engine {
             }
         };
 
-        let mut sink = BufferSink::with_wall_clock();
+        let mut sink = SummarySink::new();
         let budget = match self.config.budget_ms {
             None => ComputeBudget::unlimited(),
             Some(ms) => ComputeBudget::wall_clock(Duration::from_millis(ms)),
@@ -1247,7 +1249,7 @@ impl Engine {
                     mask_tasks: delta.mask_tasks,
                     result: ScheduleResponse::from_outcome("eas", &delta.outcome),
                 };
-                Ok(self.render_with_stats(&sink, response.to_json()))
+                Ok(self.render_with_stats(&sink.into_summary(), response.to_json()))
             }
             Err(SchedulerError::Interrupted | SchedulerError::BudgetExhausted(_))
                 if self.config.budget_ms.is_some() =>
@@ -1280,14 +1282,13 @@ impl Engine {
     /// Renders a finished body with the producing run's stats block
     /// riding alongside (never inside) it, and feeds the per-stage
     /// histograms.
-    fn render_with_stats(&self, sink: &BufferSink, body: String) -> JobOutput {
-        let summary = TraceSummary::from_events(sink.events());
+    fn render_with_stats(&self, summary: &TraceSummary, body: String) -> JobOutput {
         for (stage, micros) in &summary.stage_micros {
             #[allow(clippy::cast_precision_loss)]
             self.metrics
                 .observe_stage(stage, *micros as f64 / 1_000_000.0);
         }
-        let stats = serde_json::to_string(&summary).expect("serialization is infallible");
+        let stats = serde_json::to_string(summary).expect("serialization is infallible");
         let mut output = JobOutput::new(Arc::new(body));
         output.stats = Some(Arc::new(stats));
         output
@@ -1754,6 +1755,7 @@ mod tests {
             output.body.contains(r#""scheduler":"edf""#),
             "the fallback is labelled truthfully"
         );
+        assert!(output.stats.is_none(), "an interrupted run has no stats");
         assert_eq!(engine.metrics.degraded.load(Ordering::Relaxed), 1);
         assert_eq!(engine.metrics.schedule_errors.load(Ordering::Relaxed), 0);
 

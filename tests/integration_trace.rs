@@ -1,6 +1,9 @@
 //! Trace determinism tests: the JSONL event stream is byte-identical
 //! for every worker-thread count, the exporters carry every pipeline
-//! stage, and the summary's counters agree with the raw events.
+//! stage, the summary's counters agree with the raw events, and a
+//! `SummarySink` folds the same summary a buffered trace yields.
+
+use std::time::Instant;
 
 use noc_ctg::prelude::*;
 use noc_eas::prelude::*;
@@ -151,5 +154,167 @@ fn annealing_runs_trace_the_refinement_chains() {
             .iter()
             .any(|e| matches!(e.kind, EventKind::AnnealChain { .. })),
         "per-chain events present"
+    );
+}
+
+/// Feeds every event to a [`SummarySink`] and to a wall-clock
+/// [`BufferSink`], so both observe one run.
+struct Tee {
+    fold: SummarySink,
+    buffer: BufferSink,
+}
+
+impl TraceSink for Tee {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, kind: EventKind) {
+        self.fold.record(kind.clone());
+        self.buffer.record(kind);
+    }
+}
+
+/// Traces `run` into a [`Tee`] and checks the fold against the buffer:
+/// every counter equals [`TraceSummary::from_events`], `events` counts
+/// every recorded event, the stages are the top-level spans in the
+/// order the raw stream first closes them, and no stage took longer
+/// than the whole run. Returns the folded summary.
+fn fold_matches_buffer(what: &str, run: impl FnOnce(&mut Tee)) -> TraceSummary {
+    let started = Instant::now();
+    let mut tee = Tee {
+        fold: SummarySink::new(),
+        buffer: BufferSink::with_wall_clock(),
+    };
+    run(&mut tee);
+    let wall_us = u64::try_from(started.elapsed().as_micros()).expect("fits");
+    let folded = tee.fold.into_summary();
+    let events = tee.buffer.events();
+
+    let masked = |s: &TraceSummary| TraceSummary {
+        stage_micros: s.stage_micros.iter().map(|(n, _)| (n.clone(), 0)).collect(),
+        ..s.clone()
+    };
+    assert_eq!(
+        masked(&folded),
+        masked(&TraceSummary::from_events(events)),
+        "{what}: the fold disagrees with the buffered trace"
+    );
+    assert_eq!(folded.events, events.len(), "{what}: every event counts");
+    let mut stages: Vec<&str> = Vec::new();
+    for event in events {
+        if let EventKind::SpanEnd { name } = &event.kind {
+            if !name.contains(':') && !stages.contains(&name.as_str()) {
+                stages.push(name);
+            }
+        }
+    }
+    let folded_stages: Vec<&str> = folded
+        .stage_micros
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .collect();
+    assert_eq!(
+        folded_stages, stages,
+        "{what}: every stage is timed, in order"
+    );
+    for (stage, micros) in &folded.stage_micros {
+        assert!(
+            *micros <= wall_us,
+            "{what}: {stage} took {micros} us of a {wall_us} us run"
+        );
+    }
+    folded
+}
+
+#[test]
+fn summary_sink_folds_what_the_buffer_records() {
+    let budget = ComputeBudget::unlimited();
+    let mut total = TraceSummary::default();
+    let mut stages: Vec<String> = Vec::new();
+    for faults in [None, Some("tile:5")] {
+        let mut builder = Platform::builder()
+            .topology(TopologySpec::mesh(4, 4))
+            .pe_mix(PeCatalog::date04().cycle_mix());
+        if let Some(spec) = faults {
+            builder = builder.faults(FaultSet::parse(spec).expect("fault spec parses"));
+        }
+        let platform = builder.build().expect("mesh builds");
+        // Tight deadlines, so both selection rules and repair fire.
+        let mut cfg = TgffConfig::small(17);
+        cfg.task_count = 40;
+        cfg.deadline_laxity = 0.8;
+        let graph = TgffGenerator::new(cfg)
+            .generate(&platform)
+            .expect("generates");
+
+        let anneal = AnnealScheduler::new(AnnealConfig {
+            iterations: 400,
+            restarts: 2,
+            threads: 1,
+            ..AnnealConfig::default()
+        });
+        let schedulers: [(&str, &dyn Scheduler); 3] = [
+            ("eas", &EasScheduler::full()),
+            ("eas-base", &EasScheduler::base()),
+            ("anneal", &anneal),
+        ];
+        let mut runs = Vec::new();
+        for (name, scheduler) in schedulers {
+            runs.push(fold_matches_buffer(&format!("{name} {faults:?}"), |tee| {
+                scheduler
+                    .schedule_traced(&graph, &platform, &budget, tee)
+                    .expect("schedules");
+            }));
+        }
+
+        let prior = EasScheduler::full()
+            .schedule(&graph, &platform)
+            .expect("schedules");
+        let warm = vec![Edit::SetDeadline {
+            task: 2,
+            deadline: None,
+        }];
+        let storm: Vec<Edit> = (0..graph.task_count())
+            .map(|task| Edit::SetDeadline {
+                task: u32::try_from(task).expect("fits"),
+                deadline: None,
+            })
+            .collect();
+        for (name, edits) in [("warm start", warm), ("edit storm", storm)] {
+            let applied = apply_edits(&graph, &edits).expect("edits apply");
+            runs.push(fold_matches_buffer(&format!("{name} {faults:?}"), |tee| {
+                repair_from_traced(&graph, &prior.schedule, &platform, &applied, &budget, tee)
+                    .expect("repairs");
+            }));
+        }
+
+        for run in runs {
+            total.trials += run.trials;
+            total.selects_urgency += run.selects_urgency;
+            total.selects_regret += run.selects_regret;
+            total.comm_transactions += run.comm_transactions;
+            total.lts_moves += run.lts_moves;
+            total.gtm_moves += run.gtm_moves;
+            total.anneal_chains += run.anneal_chains;
+            total.delta_warm += run.delta_warm;
+            total.delta_fallback += run.delta_fallback;
+            for (stage, _) in run.stage_micros {
+                if !stages.contains(&stage) {
+                    stages.push(stage);
+                }
+            }
+        }
+    }
+    // The runs reach every counter and every stage the fold times.
+    assert!(total.trials > 0 && total.comm_transactions > 0);
+    assert!(total.selects_urgency > 0 && total.selects_regret > 0);
+    assert!(total.lts_moves + total.gtm_moves > 0, "repair moved tasks");
+    assert_eq!(total.anneal_chains, 4);
+    assert_eq!((total.delta_warm, total.delta_fallback), (2, 2));
+    stages.sort();
+    assert_eq!(
+        stages,
+        ["anneal", "budgeting", "comm", "level", "repair", "validate"]
     );
 }
