@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Advisory cross-crate dead-public-API sweep (warnalyzer-style).
+# Cross-crate dead-public-API sweep (warnalyzer-style).
 #
 # rustc's dead_code lint stops at crate boundaries: an item that is
 # `pub` is "used" as far as its own crate is concerned, even when no
@@ -11,13 +11,13 @@
 # only beside its own definition is still suspicious API surface).
 # Zero occurrences outside the defining file => reported.
 #
-# Intentional exports (public API kept for downstream users, trait
-# impls resolved by name, serde shapes) live in ci/deadpub_allowlist.txt
-# — one identifier per line, `#` comments allowed.
+# Exports kept on purpose (API that perf_ledger, outside the workspace,
+# calls; types named in public signatures) live in
+# ci/deadpub_allowlist.txt — one identifier per line, `#` comments
+# allowed.
 #
-# Exit code: 1 when non-allowlisted findings exist, else 0. CI runs
-# this advisory (continue-on-error), so the exit code colors the job
-# without blocking merges.
+# Exit code: 1 when non-allowlisted findings exist, else 0. CI's
+# deadpub job fails on a finding.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -654,11 +654,11 @@ pub fn robustness_study(jitters: &[f64], trials: usize) -> Vec<RobustnessRow> {
 ///
 /// Panics only on internal scheduler errors.
 #[must_use]
-pub fn robustness_study_at_ratio(jitters: &[f64], trials: usize, ratio: f64) -> Vec<RobustnessRow> {
+fn robustness_study_at_ratio(jitters: &[f64], trials: usize, ratio: f64) -> Vec<RobustnessRow> {
     try_robustness_study_at_ratio(jitters, trials, ratio).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`robustness_study_at_ratio`]: internal scheduler or
+/// Fallible `robustness_study_at_ratio`: internal scheduler or
 /// simulator failures surface as [`ExperimentError`] instead of a
 /// panic, so batch binaries can report them and exit non-zero.
 ///

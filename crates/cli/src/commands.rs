@@ -11,7 +11,7 @@ use crate::args::Args;
 use crate::spec::{parse_platform, parse_platform_faulted, parse_scheduler};
 
 /// Usage text for `noceas help`.
-pub const USAGE: &str = "\
+const USAGE: &str = "\
 noceas — energy-aware communication and task scheduling for NoCs (DATE'04 EAS)
 
 USAGE:
@@ -27,8 +27,7 @@ USAGE:
 
   noceas schedule --graph graph.json --platform mesh:4x4
                   [--scheduler eas|eas-base|edf|dls|anneal]
-                  [--faults tile:4,link:1-2]
-                  [--threads N] [--budget-ms MS]
+                  [--faults tile:4,link:1-2] [--budget-ms MS]
                   [--out schedule.json] [--vcd waves.vcd]
                   [--trace trace.json] [--trace-format chrome|jsonl]
                   [--gantt] [--links] [--csv] [--json]
@@ -38,8 +37,8 @@ USAGE:
       into FILE: `chrome` (default) writes Chrome trace-event JSON —
       open it in Perfetto or chrome://tracing for per-stage profiling —
       `jsonl` writes one event object per line with logical timestamps
-      only, byte-identical for every --threads value. Tracing never
-      changes the schedule (see docs/OBSERVABILITY.md).
+      only, byte-identical on every run. Tracing never changes the
+      schedule (see docs/OBSERVABILITY.md).
       --budget-ms bounds the scheduler to a wall-clock compute budget;
       an exhausted budget is a clean typed error (no partial schedule),
       so retry with a larger budget or a cheaper scheduler.
@@ -48,9 +47,6 @@ USAGE:
       schedule, byte-identical across surfaces). The --out and --vcd
       artifacts are still written; --gantt/--links/--csv render into
       the replaced summary and are rejected alongside --json.
-      --threads runs anneal's restart chains on N workers (0 = all
-      cores). EAS and the baselines always run serially; the schedule
-      is identical for every thread count.
       --faults masks permanently failed resources: dead PEs leave the
       candidate lists and routes detour around dead links
       (`tile:<id>`, `link:<a>-<b>` both ways, `link:<a>><b>` one way).
@@ -79,7 +75,7 @@ USAGE:
       violations then report {\"valid\":false,...} with exit code 0.
 
   noceas serve [--addr 127.0.0.1:8533] [--http-workers N]
-               [--sched-workers N] [--queue N] [--cache N] [--threads N]
+               [--sched-workers N] [--queue N] [--cache N]
                [--budget-ms MS] [--journal PATH] [--store-dir DIR]
                [--store-segment-bytes N]
                [--peers ADDR,ADDR,...] [--self-addr ADDR]
@@ -146,13 +142,12 @@ USAGE:
 
   noceas explain --graph graph.json --platform mesh:4x4
                  [--scheduler eas|eas-base|edf|dls|anneal]
-                 [--faults SPEC] [--threads N] [--task N]
+                 [--faults SPEC] [--task N]
       Schedule the graph with tracing on and print a per-task narrative
       of every decision: why each task got its PE (urgency vs. energy
       regret), where transfers stalled on link contention, and which
       repair moves recovered deadlines. --task N narrows the story to
-      one task index. --threads only sets anneal's restart workers, as
-      for schedule.
+      one task index.
 
   noceas dot --graph graph.json
       Print the task graph in Graphviz DOT syntax.
@@ -294,13 +289,12 @@ fn benchmark(args: &Args) -> Result<String, String> {
 fn schedule(args: &Args) -> Result<String, String> {
     args.accept(
         "schedule",
-        "graph platform scheduler faults threads budget-ms out vcd trace trace-format",
+        "graph platform scheduler faults budget-ms out vcd trace trace-format",
         "gantt links csv json",
     )?;
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
-    let threads: usize = args.get_num("threads", 1)?;
-    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"), threads)?;
+    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"), 1)?;
     let trace_format = args.get_or("trace-format", "chrome");
     if !matches!(trace_format, "chrome" | "jsonl") {
         return Err(format!(
@@ -323,14 +317,14 @@ fn schedule(args: &Args) -> Result<String, String> {
     let (outcome, trace_file) = match trace_path {
         None => (
             scheduler
-                .schedule_with_budget(&graph, &platform, &budget)
+                .schedule_traced(&graph, &platform, &budget, &mut noc_eas::trace::NullSink)
                 .map_err(|e| e.to_string())?,
             None,
         ),
         Some(path) => {
             // Chrome traces carry wall-clock spans for profiling; JSONL
             // keeps logical timestamps only, so its bytes are
-            // deterministic for every thread count.
+            // deterministic.
             let mut sink = if trace_format == "chrome" {
                 noc_eas::trace::BufferSink::with_wall_clock()
             } else {
@@ -436,15 +430,10 @@ fn schedule(args: &Args) -> Result<String, String> {
 }
 
 fn explain_cmd(args: &Args) -> Result<String, String> {
-    args.accept(
-        "explain",
-        "graph platform scheduler faults threads task",
-        "",
-    )?;
+    args.accept("explain", "graph platform scheduler faults task", "")?;
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
-    let threads: usize = args.get_num("threads", 1)?;
-    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"), threads)?;
+    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"), 1)?;
     let task: Option<usize> = match args.get("task") {
         None => None,
         Some(text) => {
@@ -596,7 +585,7 @@ fn validate_cmd(args: &Args) -> Result<String, String> {
 fn serve(args: &Args) -> Result<String, String> {
     args.accept(
         "serve",
-        "addr http-workers sched-workers queue cache threads budget-ms journal \
+        "addr http-workers sched-workers queue cache budget-ms journal \
          store-dir store-segment-bytes peers self-addr peer-timeout-ms probe-ms \
          anti-entropy-ms flight-recorder-entries slow-ms log-json",
         "",
@@ -618,7 +607,6 @@ fn serve(args: &Args) -> Result<String, String> {
         sched_workers: args.get_num("sched-workers", 2usize)?,
         queue_capacity: args.get_num("queue", 64usize)?,
         cache_capacity: args.get_num("cache", 1024usize)?,
-        threads: args.get_num("threads", 0usize)?,
         budget_ms: match args.get("budget-ms") {
             None => None,
             Some(text) => Some(
@@ -1300,6 +1288,29 @@ mod tests {
         let err = run(&args(&["serve", "--addr", &addr, "--net", "thread"])).unwrap_err();
         assert!(
             err.contains("unknown option --net for `noceas serve`"),
+            "got {err}"
+        );
+        // Every scheduler runs serially: no command takes a thread
+        // count.
+        for command in ["schedule", "explain"] {
+            let err = run(&args(&[
+                command,
+                "--graph",
+                "/nonexistent/g.json",
+                "--platform",
+                "mesh:2x2",
+                "--threads",
+                "2",
+            ]))
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("unknown option --threads for `noceas {command}`")),
+                "got {err}"
+            );
+        }
+        let err = run(&args(&["serve", "--addr", &addr, "--threads", "2"])).unwrap_err();
+        assert!(
+            err.contains("unknown option --threads for `noceas serve`"),
             "got {err}"
         );
         let err = run(&args(&[

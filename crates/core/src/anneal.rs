@@ -44,13 +44,6 @@ pub struct AnnealConfig {
     pub tardiness_penalty_nj: f64,
     /// Flat cost penalty per missed deadline, in nJ-equivalents.
     pub miss_penalty_nj: f64,
-    /// Independent annealing chains, seeded `seed + i`. The chain with
-    /// the lowest final cost wins (ties: lowest chain index), so the
-    /// result only depends on the seeds, never on scheduling order.
-    pub restarts: usize,
-    /// Worker threads for running restart chains (`0` = all hardware
-    /// threads). Results are identical for every value.
-    pub threads: usize,
 }
 
 impl Default for AnnealConfig {
@@ -62,8 +55,6 @@ impl Default for AnnealConfig {
             cooling: 0.999,
             tardiness_penalty_nj: 10.0,
             miss_penalty_nj: 10_000.0,
-            restarts: 1,
-            threads: 1,
         }
     }
 }
@@ -96,180 +87,103 @@ impl AnnealScheduler {
             + tardiness as f64 * self.config.tardiness_penalty_nj
     }
 
-    /// Refines `start` in place of running a scheduler from scratch.
-    ///
-    /// Runs [`AnnealConfig::restarts`] independent chains (seeded
-    /// `seed + i`, fanned out over [`AnnealConfig::threads`] workers) and
-    /// returns the best schedule found across all chains (never worse
-    /// than `start` under the annealer's cost) together with the winning
-    /// chain's accepted-move count. The winner is chosen by
-    /// `(cost, chain index)`, so the outcome is deterministic for every
-    /// thread count.
-    #[must_use]
-    pub fn refine(
-        &self,
-        start: Schedule,
-        graph: &TaskGraph,
-        platform: &Platform,
-    ) -> (Schedule, usize) {
-        self.refine_budgeted(start, graph, platform, &ComputeBudget::unlimited())
-            .expect("unlimited budget never interrupts")
-    }
-
-    /// Budgeted variant of [`refine`](AnnealScheduler::refine): the
-    /// budget is polled once per chain iteration (every restart chain
-    /// shares the same allowance). An interrupted refinement drops all
-    /// chain state — the warm-start schedule is untouched.
-    ///
-    /// # Errors
-    ///
-    /// The [`Interrupt`] that fired in any chain.
-    pub fn refine_budgeted(
-        &self,
-        start: Schedule,
-        graph: &TaskGraph,
-        platform: &Platform,
-        budget: &ComputeBudget,
-    ) -> Result<(Schedule, usize), Interrupt> {
-        self.refine_traced(start, graph, platform, budget, &mut Tracer::off())
-    }
-
-    /// [`refine_budgeted`](AnnealScheduler::refine_budgeted) with
-    /// per-chain tracing: one [`EventKind::AnnealChain`] per restart
-    /// chain, emitted in chain-index order after every chain finishes —
-    /// so the event stream is identical for every thread count.
-    fn refine_traced(
+    /// Anneals from `start`: one Metropolis chain seeded
+    /// [`AnnealConfig::seed`], polling `budget` once per iteration and
+    /// tracing one [`EventKind::AnnealChain`] when it finishes. Returns
+    /// the best schedule the chain visited, never worse than `start`
+    /// under the annealer's cost. An interrupt drops all chain state;
+    /// `start` is untouched.
+    fn refine(
         &self,
         start: Schedule,
         graph: &TaskGraph,
         platform: &Platform,
         budget: &ComputeBudget,
         tracer: &mut Tracer<'_>,
-    ) -> Result<(Schedule, usize), Interrupt> {
-        let restarts = self.config.restarts.max(1);
-        if restarts == 1 {
-            let (schedule, accepted, best_cost) =
-                self.refine_chain(self.config.seed, &start, graph, platform, budget)?;
-            if tracer.on() {
-                tracer.emit(EventKind::AnnealChain {
-                    chain: 0,
-                    seed: self.config.seed,
-                    accepted,
-                    best_cost_nj: best_cost,
-                });
-            }
-            return Ok((schedule, accepted));
-        }
-        let workers = noc_par::effective_threads(self.config.threads);
-        let seeds: Vec<u64> = (0..restarts as u64)
-            .map(|i| self.config.seed.wrapping_add(i))
-            .collect();
-        let chains = noc_par::par_map(workers, &seeds, |_, &seed| {
-            self.refine_chain(seed, &start, graph, platform, budget)
-        });
-        let chains: Vec<(Schedule, usize, f64)> =
-            chains.into_iter().collect::<Result<_, Interrupt>>()?;
-        if tracer.on() {
-            for (i, chain) in chains.iter().enumerate() {
-                tracer.emit(EventKind::AnnealChain {
-                    chain: i,
-                    seed: seeds[i],
-                    accepted: chain.1,
-                    best_cost_nj: chain.2,
-                });
-            }
-        }
-        let mut win = 0;
-        for (i, chain) in chains.iter().enumerate().skip(1) {
-            if chain.2 < chains[win].2 {
-                win = i;
-            }
-        }
-        let (schedule, accepted, _) = chains.into_iter().nth(win).expect("winner exists");
-        Ok((schedule, accepted))
-    }
-
-    /// One annealing chain: the original serial Metropolis loop, seeded
-    /// explicitly. Returns `(best schedule, accepted moves, best cost)`.
-    fn refine_chain(
-        &self,
-        seed: u64,
-        start: &Schedule,
-        graph: &TaskGraph,
-        platform: &Platform,
-        budget: &ComputeBudget,
-    ) -> Result<(Schedule, usize, f64), Interrupt> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut oa = OrderedAssignment::from_schedule(start, platform);
-        let mut current = match retime(graph, platform, &oa) {
-            Some(s) => s,
-            None => return Ok((start.clone(), 0, self.cost(start, graph, platform))),
-        };
-        let mut current_cost = self.cost(&current, graph, platform);
-        let mut best = current.clone();
-        let mut best_cost = current_cost;
-        let mut temperature = (current_cost * self.config.initial_temperature).max(1e-9);
+    ) -> Result<Schedule, Interrupt> {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut oa = OrderedAssignment::from_schedule(&start, platform);
         let mut accepted = 0usize;
-        // Migration targets: only alive PEs (identical RNG stream to the
-        // pre-fault code on pristine platforms, where all PEs are alive).
-        let alive: Vec<PeId> = platform.alive_pes().collect();
-        let pe_count = platform.tile_count();
-        let task_count = graph.task_count();
-
-        for _ in 0..self.config.iterations {
-            budget.check()?;
-            // Propose: 50% migration, 50% adjacent swap on one PE.
-            let backup = oa.clone();
-            if rng.random_bool(0.5) {
-                let t = noc_ctg::task::TaskId::new(rng.random_range(0..task_count as u32));
-                let dst = alive[rng.random_range(0..alive.len() as u32) as usize];
-                if dst == oa.assignment[t.index()] {
-                    continue;
-                }
-                let anchor = if oa.order[dst.index()].is_empty() {
-                    0
-                } else {
-                    rng.random_range(0..=oa.order[dst.index()].len())
-                };
-                oa.migrate(t, dst, anchor);
-            } else {
-                let pe = rng.random_range(0..pe_count);
-                let len = oa.order[pe].len();
-                if len < 2 {
-                    continue;
-                }
-                let i = rng.random_range(0..len - 1);
-                let (a, b) = (oa.order[pe][i], oa.order[pe][i + 1]);
-                oa.swap(a, b);
-            }
-
-            let candidate = retime(graph, platform, &oa);
-            let accepted_move = match candidate {
-                None => false, // ordering contradicts the DAG
-                Some(cand) => {
-                    let cand_cost = self.cost(&cand, graph, platform);
-                    let delta = cand_cost - current_cost;
-                    let take =
-                        delta <= 0.0 || rng.random_range(0.0..1.0) < (-delta / temperature).exp();
-                    if take {
-                        current = cand;
-                        current_cost = cand_cost;
-                        if cand_cost < best_cost {
-                            best = current.clone();
-                            best_cost = cand_cost;
-                        }
-                    }
-                    take
-                }
+        let (best, best_cost) = 'chain: {
+            let Some(mut current) = retime(graph, platform, &oa) else {
+                // The warm start cannot be re-timed: keep it.
+                let cost = self.cost(&start, graph, platform);
+                break 'chain (start, cost);
             };
-            if accepted_move {
-                accepted += 1;
-            } else {
-                oa = backup;
+            let mut current_cost = self.cost(&current, graph, platform);
+            let mut best = current.clone();
+            let mut best_cost = current_cost;
+            let mut temperature = (current_cost * self.config.initial_temperature).max(1e-9);
+            // Migration targets: only alive PEs (identical RNG stream to the
+            // pre-fault code on pristine platforms, where all PEs are alive).
+            let alive: Vec<PeId> = platform.alive_pes().collect();
+            let pe_count = platform.tile_count();
+            let task_count = graph.task_count();
+
+            for _ in 0..self.config.iterations {
+                budget.check()?;
+                // Propose: 50% migration, 50% adjacent swap on one PE.
+                let backup = oa.clone();
+                if rng.random_bool(0.5) {
+                    let t = noc_ctg::task::TaskId::new(rng.random_range(0..task_count as u32));
+                    let dst = alive[rng.random_range(0..alive.len() as u32) as usize];
+                    if dst == oa.assignment[t.index()] {
+                        continue;
+                    }
+                    let anchor = if oa.order[dst.index()].is_empty() {
+                        0
+                    } else {
+                        rng.random_range(0..=oa.order[dst.index()].len())
+                    };
+                    oa.migrate(t, dst, anchor);
+                } else {
+                    let pe = rng.random_range(0..pe_count);
+                    let len = oa.order[pe].len();
+                    if len < 2 {
+                        continue;
+                    }
+                    let i = rng.random_range(0..len - 1);
+                    let (a, b) = (oa.order[pe][i], oa.order[pe][i + 1]);
+                    oa.swap(a, b);
+                }
+
+                let candidate = retime(graph, platform, &oa);
+                let accepted_move = match candidate {
+                    None => false, // ordering contradicts the DAG
+                    Some(cand) => {
+                        let cand_cost = self.cost(&cand, graph, platform);
+                        let delta = cand_cost - current_cost;
+                        let take = delta <= 0.0
+                            || rng.random_range(0.0..1.0) < (-delta / temperature).exp();
+                        if take {
+                            current = cand;
+                            current_cost = cand_cost;
+                            if cand_cost < best_cost {
+                                best = current.clone();
+                                best_cost = cand_cost;
+                            }
+                        }
+                        take
+                    }
+                };
+                if accepted_move {
+                    accepted += 1;
+                } else {
+                    oa = backup;
+                }
+                temperature = (temperature * self.config.cooling).max(1e-9);
             }
-            temperature = (temperature * self.config.cooling).max(1e-9);
+            (best, best_cost)
+        };
+        if tracer.on() {
+            tracer.emit(EventKind::AnnealChain {
+                chain: 0,
+                seed: self.config.seed,
+                accepted,
+                best_cost_nj: best_cost,
+            });
         }
-        Ok((best, accepted, best_cost))
+        Ok(best)
     }
 }
 
@@ -288,16 +202,12 @@ impl Scheduler for AnnealScheduler {
         graph: &TaskGraph,
         platform: &Platform,
     ) -> Result<ScheduleOutcome, SchedulerError> {
-        self.schedule_with_budget(graph, platform, &ComputeBudget::unlimited())
-    }
-
-    fn schedule_with_budget(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        budget: &ComputeBudget,
-    ) -> Result<ScheduleOutcome, SchedulerError> {
-        self.schedule_traced(graph, platform, budget, &mut crate::trace::NullSink)
+        self.schedule_traced(
+            graph,
+            platform,
+            &ComputeBudget::unlimited(),
+            &mut crate::trace::NullSink,
+        )
     }
 
     fn schedule_traced(
@@ -311,8 +221,7 @@ impl Scheduler for AnnealScheduler {
         let warm = EasScheduler::full().schedule_traced(graph, platform, budget, sink)?;
         let mut tracer = Tracer::new(sink);
         tracer.begin("anneal");
-        let (schedule, _) =
-            self.refine_traced(warm.schedule, graph, platform, budget, &mut tracer)?;
+        let schedule = self.refine(warm.schedule, graph, platform, budget, &mut tracer)?;
         tracer.poll("anneal", budget);
         tracer.end("anneal");
         tracer.begin("validate");
@@ -355,7 +264,15 @@ mod tests {
         let warm = EasScheduler::full().schedule(&g, &p).unwrap();
         let annealer = AnnealScheduler::new(small_config());
         let warm_cost = annealer.cost(&warm.schedule, &g, &p);
-        let (refined, _) = annealer.refine(warm.schedule, &g, &p);
+        let refined = annealer
+            .refine(
+                warm.schedule,
+                &g,
+                &p,
+                &ComputeBudget::unlimited(),
+                &mut Tracer::off(),
+            )
+            .expect("unlimited budget never interrupts");
         let refined_cost = annealer.cost(&refined, &g, &p);
         assert!(refined_cost <= warm_cost + 1e-9);
         validate(&refined, &g, &p).expect("still valid");
@@ -389,47 +306,5 @@ mod tests {
     #[test]
     fn scheduler_name() {
         assert_eq!(AnnealScheduler::default().name(), "anneal");
-    }
-
-    #[test]
-    fn restart_chains_are_thread_count_invariant() {
-        let p = platform();
-        let g = MultimediaApp::AvDecoder.build(Clip::Akiyo, &p).unwrap();
-        let warm = EasScheduler::full().schedule(&g, &p).unwrap().schedule;
-        let cfg = AnnealConfig {
-            iterations: 150,
-            restarts: 4,
-            ..AnnealConfig::default()
-        };
-        let (serial, serial_accepted) = AnnealScheduler::new(cfg).refine(warm.clone(), &g, &p);
-        for threads in [2usize, 4, 8] {
-            let par_cfg = AnnealConfig { threads, ..cfg };
-            let (par, par_accepted) = AnnealScheduler::new(par_cfg).refine(warm.clone(), &g, &p);
-            assert_eq!(par, serial, "threads {threads}");
-            assert_eq!(par_accepted, serial_accepted, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn more_restarts_never_increase_the_cost() {
-        let p = platform();
-        let g = MultimediaApp::AvDecoder.build(Clip::Foreman, &p).unwrap();
-        let warm = EasScheduler::full().schedule(&g, &p).unwrap().schedule;
-        let one = AnnealConfig {
-            iterations: 150,
-            ..AnnealConfig::default()
-        };
-        let many = AnnealConfig {
-            restarts: 3,
-            threads: 2,
-            ..one
-        };
-        let single = AnnealScheduler::new(one);
-        let multi = AnnealScheduler::new(many);
-        let (s1, _) = single.refine(warm.clone(), &g, &p);
-        let (s3, _) = multi.refine(warm, &g, &p);
-        // Chain 0 of the multi-restart run *is* the single run, so the
-        // winner can only be at least as good.
-        assert!(multi.cost(&s3, &g, &p) <= single.cost(&s1, &g, &p) + 1e-9);
     }
 }

@@ -31,7 +31,7 @@ use crate::scheduler::CommModel;
 /// Static levels: longest mean-execution path from each task to a sink,
 /// inclusive of the task itself.
 #[must_use]
-pub fn static_levels(graph: &TaskGraph) -> Vec<f64> {
+fn static_levels(graph: &TaskGraph) -> Vec<f64> {
     let mut level = vec![0.0f64; graph.task_count()];
     for &t in graph.topological_order().iter().rev() {
         let below = graph

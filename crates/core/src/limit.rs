@@ -2,7 +2,7 @@
 //!
 //! The EAS pipeline has an unbounded worst case: level scheduling is
 //! polynomial but search-and-repair runs up to [`MAX_REPAIR_TRIALS`]
-//! LTS/GTM trials and annealing multiplies chains by restarts. A
+//! LTS/GTM trials and annealing runs thousands of iterations. A
 //! long-running service fronting the scheduler needs a way to say
 //! "spend at most this much" and get control back *with clean state*.
 //!
@@ -11,7 +11,7 @@
 //! [`CancelToken`] that an external owner can flip at any moment. The
 //! scheduler polls [`ComputeBudget::check`] at coarse, deterministic
 //! checkpoints — level-scheduling round boundaries, repair trials, GTM
-//! candidate blocks, annealing restarts and chain iterations — and
+//! candidate blocks and annealing iterations — and
 //! unwinds with a typed [`Interrupt`] when the budget is gone. No
 //! committed reservation is ever left behind: interruption propagates
 //! as an error before any partial schedule escapes, so re-running the
@@ -75,7 +75,7 @@ impl CancelToken {
 
     /// Whether cancellation has been requested.
     #[must_use]
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }
@@ -83,9 +83,9 @@ impl CancelToken {
 /// A per-call compute allowance: wall-clock, steps, cancellation.
 ///
 /// Budgets are passed by shared reference and are safe to poll from
-/// the annealing restart workers (`check` only touches atomics and a
-/// monotonic clock read). An unlimited budget never interrupts and
-/// costs one atomic increment per checkpoint.
+/// any thread (`check` only touches atomics and a monotonic clock
+/// read). An unlimited budget never interrupts and costs one atomic
+/// increment per checkpoint.
 #[derive(Debug, Default)]
 pub struct ComputeBudget {
     cancel: Option<CancelToken>,

@@ -12,7 +12,7 @@
 //! 1. **Mapping phase**: tasks are visited in descending total
 //!    communication volume; each is greedily placed on the PE minimizing
 //!    `exec_energy + Σ transfer_energy(placed neighbours)`, subject to a
-//!    load cap of `balance_factor ×` the average load (keeping the
+//!    load cap of 1.5× the average load (keeping the
 //!    mapping schedulable at all).
 //! 2. **Scheduling phase**: with `M()` frozen, tasks are ordered by
 //!    effective deadline and re-timed with the exact Fig. 3
@@ -35,33 +35,19 @@ use crate::retime::{retime, OrderedAssignment};
 use crate::scheduler::{ScheduleOutcome, Scheduler};
 use crate::SchedulerError;
 
+/// Load cap multiplier over the average per-PE mean execution load.
+const BALANCE_FACTOR: f64 = 1.5;
+
 /// The two-phase mapping-then-scheduling baseline; see the
 /// [module docs](self).
-#[derive(Debug, Clone)]
-pub struct MapThenScheduleScheduler {
-    /// Load cap multiplier over the average per-PE mean execution load.
-    balance_factor: f64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct MapThenScheduleScheduler;
 
 impl MapThenScheduleScheduler {
-    /// Creates the baseline with the default load balance factor (1.5).
+    /// Creates the baseline.
     #[must_use]
     pub fn new() -> Self {
-        MapThenScheduleScheduler {
-            balance_factor: 1.5,
-        }
-    }
-
-    /// Overrides the load-balance cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor >= 1.0`.
-    #[must_use]
-    pub fn with_balance_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "balance factor below 1.0 is unsatisfiable");
-        self.balance_factor = factor;
-        self
+        MapThenScheduleScheduler
     }
 
     /// Phase 1: the greedy energy-aware mapping.
@@ -72,7 +58,7 @@ impl MapThenScheduleScheduler {
             .task_ids()
             .map(|t| graph.task(t).mean_exec_time())
             .sum();
-        let load_cap = (total_mean / pe_count as f64) * self.balance_factor;
+        let load_cap = (total_mean / pe_count as f64) * BALANCE_FACTOR;
 
         // Order tasks by descending adjacent communication volume
         // (heavy communicators are placed first so their neighbours can
@@ -129,12 +115,6 @@ impl MapThenScheduleScheduler {
             .into_iter()
             .map(|a| a.expect("all mapped"))
             .collect()
-    }
-}
-
-impl Default for MapThenScheduleScheduler {
-    fn default() -> Self {
-        MapThenScheduleScheduler::new()
     }
 }
 
@@ -261,17 +241,5 @@ mod tests {
             eas_wins >= 3,
             "co-scheduling should match or beat the two-phase split"
         );
-    }
-
-    #[test]
-    fn balance_factor_guard() {
-        let s = MapThenScheduleScheduler::new().with_balance_factor(2.0);
-        assert_eq!(s.name(), "map-then-schedule");
-    }
-
-    #[test]
-    #[should_panic(expected = "unsatisfiable")]
-    fn rejects_sub_unit_balance() {
-        let _ = MapThenScheduleScheduler::new().with_balance_factor(0.5);
     }
 }

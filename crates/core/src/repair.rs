@@ -135,7 +135,7 @@ pub fn search_and_repair_threads(
 /// # Errors
 ///
 /// The [`Interrupt`] that fired.
-pub fn search_and_repair_traced(
+pub(crate) fn search_and_repair_traced(
     graph: &TaskGraph,
     platform: &Platform,
     schedule: Schedule,

@@ -149,44 +149,24 @@ pub trait Scheduler {
     ) -> Result<ScheduleOutcome, SchedulerError>;
 
     /// Like [`schedule`](Scheduler::schedule), bounded by a
-    /// [`ComputeBudget`] polled at the scheduler's coarse checkpoints.
+    /// [`ComputeBudget`] polled at the scheduler's coarse checkpoints and
+    /// emitting decision [`trace`](crate::trace) events into `sink`.
     ///
-    /// The default implementation ignores the budget — appropriate for
-    /// the cheap polynomial baselines (EDF, DLS), whose runtime is
-    /// bounded by construction. Schedulers with unbounded search
-    /// (EAS repair, annealing) override it and stop early with clean
-    /// state: no partial placement or link reservation survives an
-    /// interrupt, so an uninterrupted rerun is byte-identical to a run
-    /// that never had a budget.
+    /// The default implementation ignores both: appropriate for the
+    /// cheap polynomial baselines (EDF, DLS), whose runtime is bounded by
+    /// construction and whose decisions have no interesting structure.
+    /// Schedulers with unbounded search (EAS repair, annealing) override
+    /// it and stop early with clean state: no partial placement or link
+    /// reservation survives an interrupt, so an uninterrupted rerun is
+    /// byte-identical to a run that never had a budget. Tracing is
+    /// strictly observational: the returned outcome is byte-identical to
+    /// an untraced run.
     ///
     /// # Errors
     ///
     /// Everything [`schedule`](Scheduler::schedule) returns, plus
     /// [`SchedulerError::Interrupted`] /
     /// [`SchedulerError::BudgetExhausted`] when the budget fires.
-    fn schedule_with_budget(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        budget: &ComputeBudget,
-    ) -> Result<ScheduleOutcome, SchedulerError> {
-        let _ = budget;
-        self.schedule(graph, platform)
-    }
-
-    /// Like [`schedule_with_budget`](Scheduler::schedule_with_budget),
-    /// emitting decision [`trace`](crate::trace) events into `sink`.
-    ///
-    /// Tracing is strictly observational: the returned outcome is
-    /// byte-identical to an untraced run. The default implementation
-    /// ignores the sink — appropriate for baselines with no interesting
-    /// decision structure; the EAS family overrides it with full
-    /// pipeline instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`schedule_with_budget`](Scheduler::schedule_with_budget)
-    /// returns.
     fn schedule_traced(
         &self,
         graph: &TaskGraph,
@@ -194,8 +174,8 @@ pub trait Scheduler {
         budget: &ComputeBudget,
         sink: &mut dyn TraceSink,
     ) -> Result<ScheduleOutcome, SchedulerError> {
-        let _ = sink;
-        self.schedule_with_budget(graph, platform, budget)
+        let _ = (budget, sink);
+        self.schedule(graph, platform)
     }
 }
 
@@ -250,16 +230,7 @@ impl Scheduler for EasScheduler {
         graph: &TaskGraph,
         platform: &Platform,
     ) -> Result<ScheduleOutcome, SchedulerError> {
-        self.schedule_with_budget(graph, platform, &ComputeBudget::unlimited())
-    }
-
-    fn schedule_with_budget(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        budget: &ComputeBudget,
-    ) -> Result<ScheduleOutcome, SchedulerError> {
-        self.schedule_traced(graph, platform, budget, &mut NullSink)
+        self.schedule_traced(graph, platform, &ComputeBudget::unlimited(), &mut NullSink)
     }
 
     fn schedule_traced(

@@ -6,9 +6,10 @@
 //! threaded through [`Scheduler::schedule_traced`]. Tracing is strictly
 //! observational: a traced run commits the exact same placements as an
 //! untraced one, so schedules stay byte-identical with tracing on or
-//! off. Level scheduling emits in `(round, task, PE)` order and
-//! annealing chains are emitted in chain order after all finish, so the
-//! logical event stream is identical for every `--threads` value.
+//! off. Every stage is serial: level scheduling emits in
+//! `(round, task, PE)` order and the annealer traces its one chain when
+//! it finishes, so the logical event stream is identical from run to
+//! run.
 //!
 //! Timestamps come in two flavours: every event carries a logical
 //! sequence number (`seq`, assigned by the sink in emission order), and
@@ -144,11 +145,9 @@ pub enum EventKind {
         /// Candidate re-timings evaluated so far (accepted + rejected).
         trials: usize,
     },
-    /// Summary of one annealing chain (emitted in chain-index order
-    /// after all chains finish, so the stream is thread-count
-    /// invariant).
+    /// Summary of the annealing chain, emitted once it finishes.
     AnnealChain {
-        /// Chain index (0-based).
+        /// Chain index: always 0, since the annealer runs one chain.
         chain: usize,
         /// The chain's RNG seed.
         seed: u64,
@@ -185,7 +184,7 @@ pub enum EventKind {
 impl EventKind {
     /// The `"type"` discriminator used in serialized events.
     #[must_use]
-    pub fn type_name(&self) -> &'static str {
+    fn type_name(&self) -> &'static str {
         match self {
             EventKind::SpanBegin { .. } => "span_begin",
             EventKind::SpanEnd { .. } => "span_end",
@@ -338,7 +337,7 @@ impl EventKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Logical timestamp: emission index within the trace, assigned by
-    /// the sink. Deterministic for every thread count.
+    /// the sink. Deterministic from run to run.
     pub seq: u64,
     /// Wall-clock microseconds since the sink's origin, when the sink
     /// records wall time ([`BufferSink::with_wall_clock`]). Never set on
@@ -569,7 +568,7 @@ impl<'a> Tracer<'a> {
 /// Serializes events as JSON Lines (one compact object per line).
 ///
 /// On a logical-only trace ([`BufferSink::new`]) the output is
-/// byte-identical for every thread count.
+/// byte-identical from run to run.
 #[must_use]
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();

@@ -17,7 +17,7 @@ use noc_platform::units::{Energy, Time};
 /// Nominal computation power used to convert execution time to energy:
 /// a task running for `T` ticks on the reference PE consumes
 /// `T * NOMINAL_POWER_NJ_PER_TICK` nJ.
-pub const NOMINAL_POWER_NJ_PER_TICK: f64 = 1.0;
+const NOMINAL_POWER_NJ_PER_TICK: f64 = 1.0;
 
 /// Derives per-PE execution cost vectors from PE classes.
 ///
@@ -34,25 +34,13 @@ pub const NOMINAL_POWER_NJ_PER_TICK: f64 = 1.0;
 #[derive(Debug, Clone)]
 pub struct CostSynthesizer<'a> {
     classes: &'a [PeClass],
-    nominal_power: f64,
 }
 
 impl<'a> CostSynthesizer<'a> {
     /// Creates a synthesizer over the given per-tile PE classes.
     #[must_use]
     pub fn new(classes: &'a [PeClass]) -> Self {
-        CostSynthesizer {
-            classes,
-            nominal_power: NOMINAL_POWER_NJ_PER_TICK,
-        }
-    }
-
-    /// Overrides the nominal computation power (nJ per tick on the
-    /// reference PE).
-    #[must_use]
-    pub fn with_nominal_power(mut self, nj_per_tick: f64) -> Self {
-        self.nominal_power = nj_per_tick;
-        self
+        CostSynthesizer { classes }
     }
 
     /// Multipliers applied to the base time/energy on one class for a
@@ -75,7 +63,7 @@ impl<'a> CostSynthesizer<'a> {
             let (ts, es) = self.class_multipliers(class, affinity);
             times.push(Time::new(((base_time * ts).round() as u64).max(1)));
             energies.push(Energy::from_nj(
-                (base_time * self.nominal_power * es).max(1e-6),
+                (base_time * NOMINAL_POWER_NJ_PER_TICK * es).max(1e-6),
             ));
         }
         (times, energies)
@@ -105,7 +93,7 @@ impl<'a> CostSynthesizer<'a> {
             let je: f64 = rng.random_range(1.0 - jitter..=1.0 + jitter);
             times.push(Time::new(((base_time * ts * jt).round() as u64).max(1)));
             energies.push(Energy::from_nj(
-                (base_time * self.nominal_power * es * je).max(1e-6),
+                (base_time * NOMINAL_POWER_NJ_PER_TICK * es * je).max(1e-6),
             ));
         }
         (times, energies)
@@ -183,15 +171,5 @@ mod tests {
         let synth = CostSynthesizer::new(&classes);
         let (times, _) = synth.vectors(0.1, 0.5);
         assert!(times.iter().all(|t| t.ticks() >= 1));
-    }
-
-    #[test]
-    fn nominal_power_scales_energy() {
-        let classes = PeCatalog::homogeneous().mix_for(1);
-        let synth = CostSynthesizer::new(&classes).with_nominal_power(2.0);
-        let (_, e2) = synth.vectors(100.0, 0.5);
-        let synth1 = CostSynthesizer::new(&classes);
-        let (_, e1) = synth1.vectors(100.0, 0.5);
-        assert!((e2[0].as_nj() - 2.0 * e1[0].as_nj()).abs() < 1e-9);
     }
 }

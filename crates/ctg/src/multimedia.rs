@@ -35,7 +35,7 @@ use crate::CtgError;
 pub const ENCODER_PERIOD: u64 = 12_000;
 /// Decoder frame period in ticks at performance ratio 1.0 (the paper's
 /// baseline 67 frames/s, i.e. `40/67` of the encoder period).
-pub const DECODER_PERIOD: u64 = 7_200;
+const DECODER_PERIOD: u64 = 7_200;
 
 /// A video clip complexity profile.
 ///

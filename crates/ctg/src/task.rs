@@ -190,32 +190,6 @@ impl Task {
     pub fn exec_energy_variance(&self) -> f64 {
         variance(self.exec_energies.iter().map(|e| e.as_nj()))
     }
-
-    /// Minimum execution time across PEs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cost vector is empty.
-    #[must_use]
-    pub fn min_exec_time(&self) -> Time {
-        *self.exec_times.iter().min().expect("non-empty cost vector")
-    }
-
-    /// Minimum execution energy across PEs.
-    #[must_use]
-    pub fn min_exec_energy(&self) -> Energy {
-        self.exec_energies
-            .iter()
-            .copied()
-            .fold(None, |best: Option<Energy>, e| {
-                Some(match best {
-                    None => e,
-                    Some(b) if e < b => e,
-                    Some(b) => b,
-                })
-            })
-            .expect("non-empty cost vector")
-    }
 }
 
 fn variance(values: impl Iterator<Item = f64>) -> f64 {
@@ -279,13 +253,6 @@ mod tests {
         let t = t.with_deadline(Time::new(999));
         assert_eq!(t.deadline(), Some(Time::new(999)));
         assert!(t.has_deadline());
-    }
-
-    #[test]
-    fn min_costs() {
-        let t = sample();
-        assert_eq!(t.min_exec_time(), Time::new(100));
-        assert!((t.min_exec_energy().as_nj() - 10.0).abs() < 1e-12);
     }
 
     #[test]

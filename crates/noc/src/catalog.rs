@@ -69,8 +69,7 @@ impl PeClass {
 
     /// A high-performance, energy-hungry general-purpose CPU
     /// (think early-2000s PowerPC-class core).
-    #[must_use]
-    pub fn fast_cpu() -> Self {
+    fn fast_cpu() -> Self {
         PeClass::new("fast-cpu", 0.55, 1.6, 0.2)
     }
 
@@ -81,8 +80,7 @@ impl PeClass {
     }
 
     /// A low-power ARM-class processor: slow but very lean.
-    #[must_use]
-    pub fn low_power() -> Self {
+    fn low_power() -> Self {
         PeClass::new("low-power", 1.8, 0.62, 0.1)
     }
 
@@ -91,13 +89,6 @@ impl PeClass {
     #[must_use]
     pub fn dsp() -> Self {
         PeClass::new("dsp", 0.8, 0.78, 0.95)
-    }
-
-    /// A fixed-function-like accelerator: extremely efficient on matching
-    /// kernels, poor otherwise.
-    #[must_use]
-    pub fn accelerator() -> Self {
-        PeClass::new("accel", 0.6, 0.45, 1.0)
     }
 }
 

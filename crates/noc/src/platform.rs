@@ -18,7 +18,7 @@ use crate::units::{Energy, Time, Volume};
 use crate::PlatformError;
 
 /// Default link bandwidth: one 32-bit flit per tick.
-pub const DEFAULT_LINK_BANDWIDTH: f64 = 32.0;
+const DEFAULT_LINK_BANDWIDTH: f64 = 32.0;
 
 /// A validated heterogeneous NoC platform with a precomputed ACG.
 ///

@@ -130,7 +130,7 @@ impl RoutingTable {
 /// * [`PlatformError::InvalidRoute`] if an explicit table entry is
 ///   missing or does not follow existing links.
 #[allow(clippy::needless_range_loop)] // routes[s][d] is clearest with dual indices
-pub fn compute_routes(
+fn compute_routes(
     topology: &TopologySpec,
     routing: &RoutingSpec,
     coords: &[Coord],
@@ -248,7 +248,7 @@ fn path_to_links(
         .collect()
 }
 
-/// Like [`compute_routes`], but detours around the resources listed in
+/// Like `compute_routes`, but detours around the resources listed in
 /// `faults`.
 ///
 /// Pairs whose primary route (dimension-ordered path or table entry)
@@ -263,7 +263,7 @@ fn path_to_links(
 ///
 /// # Errors
 ///
-/// Everything [`compute_routes`] returns, plus
+/// Everything `compute_routes` returns, plus
 /// [`PlatformError::Disconnected`] when two *alive* tiles have no
 /// residual path between them.
 #[allow(clippy::needless_range_loop)] // routes[s][d] is clearest with dual indices

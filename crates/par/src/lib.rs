@@ -11,7 +11,7 @@
 //!   with the input regardless of scheduling.
 //!
 //! Fan-outs pay a thread spawn per worker per call, so they suit coarse
-//! jobs: annealing restart chains and experiment grid cells. The EAS
+//! jobs such as experiment grid cells. The EAS
 //! level scheduler and search & repair evaluate their fine-grained
 //! F(i,k) trials and GTM candidates serially instead; on two CPUs a
 //! per-round fan-out ran them at 0.40–0.47× the serial speed.
@@ -19,7 +19,7 @@
 //! # Panic isolation
 //!
 //! A panicking job must never take down the caller's process. Worker
-//! closures run under [`std::panic::catch_unwind`]: [`try_par_map`]
+//! closures run under [`std::panic::catch_unwind`]: `try_par_map`
 //! reports the first panicking chunk (in chunk order, so the error is
 //! deterministic) as a typed [`WorkerPanic`].
 
@@ -85,7 +85,7 @@ pub fn effective_threads(requested: usize) -> usize {
 /// concatenating per-chunk results in index order reproduces the input
 /// order.
 #[must_use]
-pub fn chunk_bounds(len: usize, parts: usize, index: usize) -> (usize, usize) {
+fn chunk_bounds(len: usize, parts: usize, index: usize) -> (usize, usize) {
     debug_assert!(parts >= 1 && index < parts);
     (index * len / parts, (index + 1) * len / parts)
 }
@@ -99,8 +99,7 @@ pub fn chunk_bounds(len: usize, parts: usize, index: usize) -> (usize, usize) {
 /// # Panics
 ///
 /// If `f` panics: the panic is re-raised on the calling thread with the
-/// original payload message (see [`try_par_map`] for the non-panicking
-/// variant).
+/// original payload message.
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -128,7 +127,7 @@ where
 /// # Errors
 ///
 /// The [`WorkerPanic`] of the first panicking chunk in input order.
-pub fn try_par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, WorkerPanic>
+fn try_par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, WorkerPanic>
 where
     T: Sync,
     R: Send,

@@ -93,12 +93,6 @@ impl ScheduleDiff {
                 - first.deadline_misses(graph).len() as i64,
         }
     }
-
-    /// `true` if the two schedules are decision-identical.
-    #[must_use]
-    pub fn is_unchanged(&self) -> bool {
-        self.migrations.is_empty() && self.retimed_tasks == 0
-    }
 }
 
 impl fmt::Display for ScheduleDiff {
@@ -149,7 +143,8 @@ mod tests {
     fn identical_schedules_diff_empty() {
         let (p, g, s) = fixture();
         let d = ScheduleDiff::between(&s, &s, &g, &p);
-        assert!(d.is_unchanged());
+        assert!(d.migrations.is_empty());
+        assert_eq!(d.retimed_tasks, 0);
         assert_eq!(d.energy_delta_nj, 0.0);
         assert_eq!(d.makespan_delta, 0);
     }
@@ -171,7 +166,6 @@ mod tests {
         assert_eq!(d.retimed_tasks, 1);
         assert!(d.energy_delta_nj < 0.0, "local placement must be cheaper");
         assert_eq!(d.makespan_delta, -10);
-        assert!(!d.is_unchanged());
         assert!(d.to_string().contains("1 migrations"));
     }
 }

@@ -156,22 +156,10 @@ impl ResourceTables {
         }
     }
 
-    /// Read access to one PE's table.
-    #[must_use]
-    pub fn pe_table(&self, pe: PeId) -> &ScheduleTable {
-        &self.pe[pe.index()]
-    }
-
     /// Read access to one link's table.
     #[must_use]
     pub fn link_table(&self, link: LinkId) -> &ScheduleTable {
         &self.link[link.index()]
-    }
-
-    /// Drops the undo log (e.g. after committing a whole schedule), so
-    /// later rollbacks cannot cross this point.
-    pub fn seal(&mut self) {
-        self.log.clear();
     }
 }
 
@@ -259,18 +247,5 @@ mod tests {
             r.checkpoint(),
             "zero reservations must not grow the log"
         );
-    }
-
-    #[test]
-    fn seal_prevents_rollback_past_commit() {
-        let p = platform();
-        let mut r = ResourceTables::new(&p);
-        r.reserve_pe(PeId::new(0), t(0), t(10));
-        r.seal();
-        let mark = r.checkpoint();
-        r.reserve_pe(PeId::new(0), t(10), t(10));
-        r.rollback(mark);
-        // The sealed reservation survives.
-        assert_eq!(r.earliest_pe_slot(PeId::new(0), t(0), t(1)), t(10));
     }
 }

@@ -103,7 +103,7 @@ impl NetworkSim {
     ///
     /// Panics if the message's injection time lies in the simulator's
     /// past (`inject_at < now`).
-    pub fn inject_with_route(&mut self, msg: Message, route: Vec<LinkId>) -> MessageId {
+    fn inject_with_route(&mut self, msg: Message, route: Vec<LinkId>) -> MessageId {
         assert!(
             msg.inject_at >= self.now,
             "cannot inject into the past: {} < {}",
@@ -168,7 +168,7 @@ impl NetworkSim {
     /// stranded by a link failure — stranded worms are never delivered
     /// and no longer occupy the network).
     #[must_use]
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.worms.iter().all(Worm::is_settled)
     }
 
@@ -411,22 +411,6 @@ impl NetworkSim {
             stall_ticks: delivered_at.saturating_sub(ideal).ticks(),
         })
     }
-
-    /// Mean end-to-end latency over all delivered messages, in ticks
-    /// (zero when nothing was delivered).
-    #[must_use]
-    pub fn mean_latency(&self) -> f64 {
-        let delivered: Vec<f64> = self
-            .worms
-            .iter()
-            .filter_map(|w| w.completed_at.map(|c| (c - w.msg.inject_at).as_f64()))
-            .collect();
-        if delivered.is_empty() {
-            0.0
-        } else {
-            delivered.iter().sum::<f64>() / delivered.len() as f64
-        }
-    }
 }
 
 /// Per-message delivery statistics (see [`NetworkSim::message_stats`]).
@@ -602,8 +586,6 @@ mod tests {
         assert_eq!(sa.stall_ticks, 0);
         assert_eq!(sb.stall_ticks, 10);
         assert_eq!(sb.delivered_at, Time::new(20));
-        // Mean latency: (10 + 20) / 2.
-        assert!((sim.mean_latency() - 15.0).abs() < 1e-12);
     }
 
     #[test]
@@ -612,7 +594,6 @@ mod tests {
         let mut sim = NetworkSim::new(&p, SimConfig::default());
         let a = sim.inject_on(&p, msg(0, 1, 320, 5));
         assert!(sim.message_stats(a).is_none());
-        assert_eq!(sim.mean_latency(), 0.0);
     }
 
     #[test]

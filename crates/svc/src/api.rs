@@ -43,12 +43,6 @@ pub struct ScheduleRequest {
     /// Optional fault spec, e.g. `"tile:4,link:1-2"`.
     #[serde(default)]
     pub faults: Option<String>,
-    /// Restart-chain workers for `anneal` (EAS and the baselines run
-    /// serially); results are identical for every value, so this is
-    /// *excluded* from the cache key. Defaults to the server's
-    /// `--threads`.
-    #[serde(default)]
-    pub threads: Option<usize>,
     /// `"sync"` (default) answers with the schedule; `"async"` answers
     /// `202` with a job id to poll via `GET /v1/jobs/<id>`.
     #[serde(default)]
@@ -83,8 +77,8 @@ impl ScheduleRequest {
     /// The canonical cache key: a sorted-key rendering of the
     /// *semantic* request content — graph, platform spec, fault spec and
     /// resolved scheduler name. Insensitive to JSON key order, to
-    /// defaulted-vs-explicit `scheduler`, and to the volatile `mode` /
-    /// `threads` fields (thread count never changes the schedule).
+    /// defaulted-vs-explicit `scheduler`, and to the presentation-only
+    /// `mode` and `stats` fields.
     #[must_use]
     pub fn canonical_key(&self) -> String {
         // The four members in ascending key order, written in one pass.
@@ -102,13 +96,6 @@ impl ScheduleRequest {
         w.string(self.scheduler_name());
         w.out.push('}');
         w.out
-    }
-
-    /// Short hex id derived from [`canonical_key`](Self::canonical_key);
-    /// doubles as the job id.
-    #[must_use]
-    pub fn request_hash(&self) -> String {
-        content_hash(&self.canonical_key())
     }
 }
 
@@ -182,11 +169,6 @@ pub struct DeltaRequest {
     /// their serde shape, e.g.
     /// `[{"SetDeadline":{"task":3,"deadline":900}}]`.
     pub edits: Value,
-    /// Restart-chain workers for an `anneal` prior (identical output
-    /// for every value; excluded from the cache key). Defaults to the
-    /// server's `--threads`.
-    #[serde(default)]
-    pub threads: Option<usize>,
     /// `"sync"` (default) or `"async"` (poll `GET /v1/jobs/<id>`).
     #[serde(default)]
     pub mode: Option<String>,
@@ -221,7 +203,7 @@ impl DeltaRequest {
     /// edits)`. The prior collapses to its own content hash, so two
     /// delta requests agree exactly when their prior requests hash
     /// alike and their edit sequences canonicalize to the same JSON;
-    /// `mode`, `threads` and `stats` stay excluded. Unlike a schedule
+    /// `mode` and `stats` stay excluded. Unlike a schedule
     /// key, this one does not hold the whole problem: two priors whose
     /// 128-bit content hashes collide share delta answers.
     #[must_use]
@@ -356,7 +338,6 @@ mod tests {
             r#"{"graph":{"y":2,"x":1},"platform":"mesh:2x2","scheduler":"eas","mode":"async","threads":8}"#,
         );
         assert_eq!(a.canonical_key(), b.canonical_key());
-        assert_eq!(a.request_hash(), b.request_hash());
         assert!(!a.is_async());
         assert!(b.is_async());
     }

@@ -258,9 +258,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Response-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Default annealing restart workers when a request does not name a
-    /// thread count (0 = all hardware threads). EAS runs serially.
-    pub threads: usize,
     /// Per-request compute budget, wall-clock milliseconds. A scheduler
     /// that exhausts it is answered by the degraded EDF fallback.
     /// `None` (the default) runs schedulers to completion. Wall-clock
@@ -297,7 +294,6 @@ impl Default for EngineConfig {
         EngineConfig {
             queue_capacity: 64,
             cache_capacity: 1024,
-            threads: 0,
             budget_ms: None,
             journal: None,
             store_dir: None,
@@ -666,9 +662,8 @@ impl Engine {
         let graph =
             TaskGraph::from_value(&request.graph).map_err(|e| format!("invalid graph: {e}"))?;
         let platform = spec.build_for(graph.pe_count())?;
-        let threads = request.threads.unwrap_or(self.config.threads);
         let scheduler_name = request.scheduler_name().to_owned();
-        let scheduler = crate::spec::parse_scheduler(&scheduler_name, threads)?;
+        let scheduler = crate::spec::parse_scheduler(&scheduler_name, 1)?;
         Ok(JobWork::Schedule {
             graph,
             platform,
@@ -690,9 +685,8 @@ impl Engine {
         let prior_graph =
             TaskGraph::from_value(&prior.graph).map_err(|e| format!("invalid prior graph: {e}"))?;
         let prior_platform = prior_spec.build_for(prior_graph.pe_count())?;
-        let threads = request.threads.unwrap_or(self.config.threads);
         let prior_scheduler_name = prior.scheduler_name().to_owned();
-        let prior_scheduler = crate::spec::parse_scheduler(&prior_scheduler_name, threads)?;
+        let prior_scheduler = crate::spec::parse_scheduler(&prior_scheduler_name, 1)?;
         let edits =
             Vec::<Edit>::from_value(&request.edits).map_err(|e| format!("invalid edits: {e}"))?;
         let applied =

@@ -18,7 +18,7 @@ use crate::store::StoreStats;
 
 /// Upper bounds (seconds) of the scheduling-latency histogram buckets;
 /// an implicit `+Inf` bucket completes the set.
-pub const LATENCY_BUCKETS: [f64; 12] = [
+const LATENCY_BUCKETS: [f64; 12] = [
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 ];
 
@@ -146,12 +146,6 @@ impl Metrics {
     pub fn record_request(&self, endpoint: &str, status: u16) {
         let mut table = self.requests.lock().expect("metrics lock");
         *table.entry((endpoint.to_owned(), status)).or_insert(0) += 1;
-    }
-
-    /// Total requests recorded across all endpoints and statuses.
-    #[must_use]
-    pub fn total_requests(&self) -> u64 {
-        self.requests.lock().expect("metrics lock").values().sum()
     }
 
     /// Registers the persistent store's counters for rendering. Called
@@ -600,7 +594,6 @@ mod tests {
         assert!(healthz < sched, "rows render in sorted order");
         assert!(text.contains("noc_svc_requests_total{endpoint=\"/v1/schedule\",status=\"200\"} 2"));
         assert!(text.contains("noc_svc_requests_total{endpoint=\"/v1/schedule\",status=\"429\"} 1"));
-        assert_eq!(m.total_requests(), 4);
     }
 
     #[test]

@@ -47,8 +47,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Response-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Default annealing restart workers (0 = all hardware threads).
-    pub threads: usize,
     /// Largest accepted request body, bytes.
     pub max_body: usize,
     /// Keep-alive idle timeout: a connection with no request in flight
@@ -98,7 +96,6 @@ impl Default for ServiceConfig {
             sched_workers: 2,
             queue_capacity: 64,
             cache_capacity: 1024,
-            threads: 0,
             max_body: 16 * 1024 * 1024,
             io_timeout: Duration::from_secs(30),
             budget_ms: None,
@@ -152,7 +149,6 @@ impl Server {
         let engine = Engine::new(EngineConfig {
             queue_capacity: config.queue_capacity,
             cache_capacity: config.cache_capacity,
-            threads: config.threads,
             budget_ms: config.budget_ms,
             journal: config.journal.clone(),
             store_dir: config.store_dir.clone(),

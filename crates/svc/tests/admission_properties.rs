@@ -197,7 +197,6 @@ proptest! {
             (spec, faults, graph, scheduler, edits)
         };
         let engine = Engine::new(EngineConfig {
-            threads: 1,
             ..EngineConfig::default()
         })
         .expect("engine starts");

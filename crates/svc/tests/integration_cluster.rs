@@ -35,7 +35,6 @@ fn start_node(addr: &str, peers: &[String]) -> Server {
         sched_workers: 2,
         queue_capacity: 8,
         cache_capacity: 64,
-        threads: 1,
         peers: peers.to_vec(),
         self_addr: Some(addr.to_owned()),
         ..ServiceConfig::default()
@@ -278,7 +277,6 @@ impl ProxiedCluster {
                     sched_workers: 2,
                     queue_capacity: 8,
                     cache_capacity: 64,
-                    threads: 1,
                     peers: identities.clone(),
                     self_addr: Some(identity.clone()),
                     peer_timeout,
@@ -673,7 +671,6 @@ fn recorder_toggle_never_changes_response_bytes() {
             sched_workers: 2,
             queue_capacity: 8,
             cache_capacity: 64,
-            threads: 1,
             flight_recorder_entries: entries,
             ..ServiceConfig::default()
         })

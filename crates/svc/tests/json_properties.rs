@@ -233,7 +233,6 @@ fn request() -> impl Strategy<Value = (ScheduleRequest, Value)> {
             platform: random_string(g),
             scheduler: maybe(g),
             faults: maybe(g),
-            threads: None,
             mode: None,
             stats: None,
         };
@@ -284,7 +283,6 @@ proptest! {
         let delta = DeltaRequest {
             prior: Value::Null,
             edits: edits.clone(),
-            threads: None,
             mode: None,
             stats: None,
         };

@@ -18,6 +18,26 @@ fn platform() -> Platform {
         .expect("mesh builds")
 }
 
+/// Iterations of the annealer under test: short enough for a step
+/// budget drawn below to run out inside its iteration loop.
+const ANNEAL_ITERATIONS: usize = 1_000;
+
+/// The schedulers under test, each with the fewest budget checkpoints
+/// an unlimited run must visit: full EAS polls at every level round,
+/// and the annealer, after its EAS warm start, at every iteration.
+fn schedulers() -> [(Box<dyn Scheduler>, u64); 2] {
+    [
+        (Box::new(EasScheduler::full()), 1),
+        (
+            Box::new(AnnealScheduler::new(AnnealConfig {
+                iterations: ANNEAL_ITERATIONS,
+                ..AnnealConfig::default()
+            })),
+            ANNEAL_ITERATIONS as u64,
+        ),
+    ]
+}
+
 /// Strategy: a small random CTG configuration.
 fn tgff_config() -> impl Strategy<Value = TgffConfig> {
     (0u64..1_000, 8usize..32, 1.2f64..3.0).prop_map(|(seed, task_count, laxity)| {
@@ -32,36 +52,50 @@ fn tgff_config() -> impl Strategy<Value = TgffConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A step budget either lets the search finish with a valid
-    /// schedule or fails with the typed exhaustion error — and either
-    /// way the same scheduler afterwards reproduces the reference
-    /// schedule byte for byte, so an interrupt leaves no residue.
+    /// A step budget lets the search finish with a valid schedule when
+    /// it covers every checkpoint an unlimited run visits, and fails
+    /// with the typed exhaustion error otherwise — and either way the
+    /// same scheduler afterwards reproduces the reference schedule byte
+    /// for byte, so an interrupt leaves no residue.
     #[test]
     fn step_budgets_interrupt_cleanly(cfg in tgff_config(), steps in 0u64..5_000) {
         let platform = platform();
         let graph = TgffGenerator::new(cfg).generate(&platform).expect("generates");
-        let scheduler = EasScheduler::full();
-        let reference = scheduler.schedule(&graph, &platform).expect("schedules");
+        for (scheduler, min_checkpoints) in schedulers() {
+            let name = scheduler.name();
+            let unlimited = ComputeBudget::unlimited();
+            let reference = scheduler
+                .schedule_traced(&graph, &platform, &unlimited, &mut NullSink)
+                .expect("schedules");
+            let checkpoints = unlimited.steps_used();
+            prop_assert!(
+                checkpoints >= min_checkpoints,
+                "{name}: {checkpoints} checkpoints, expected at least {min_checkpoints}"
+            );
 
-        match scheduler.schedule_with_budget(&graph, &platform, &ComputeBudget::steps(steps)) {
-            Ok(outcome) => {
-                prop_assert!(validate(&outcome.schedule, &graph, &platform).is_ok());
-                prop_assert_eq!(
-                    &outcome.schedule, &reference.schedule,
-                    "a budget that suffices must not change the result"
-                );
+            let budget = ComputeBudget::steps(steps);
+            match scheduler.schedule_traced(&graph, &platform, &budget, &mut NullSink) {
+                Ok(outcome) => {
+                    prop_assert!(steps >= checkpoints, "{name}: {steps} < {checkpoints} steps");
+                    prop_assert!(validate(&outcome.schedule, &graph, &platform).is_ok());
+                    prop_assert_eq!(
+                        &outcome.schedule, &reference.schedule,
+                        "{}: a budget that suffices must not change the result", name
+                    );
+                }
+                Err(SchedulerError::BudgetExhausted(cause)) => {
+                    prop_assert_eq!(cause, Interrupt::Steps);
+                    prop_assert!(steps < checkpoints, "{name}: {steps} >= {checkpoints} steps");
+                }
+                Err(other) => prop_assert!(false, "{name}: unexpected error: {other}"),
             }
-            Err(SchedulerError::BudgetExhausted(cause)) => {
-                prop_assert_eq!(cause, Interrupt::Steps);
-            }
-            Err(other) => prop_assert!(false, "unexpected error: {other}"),
+
+            // The interrupted (or finished) scheduler is still pristine.
+            let again = scheduler
+                .schedule_traced(&graph, &platform, &ComputeBudget::unlimited(), &mut NullSink)
+                .expect("unlimited budget always finishes");
+            prop_assert_eq!(again.schedule, reference.schedule);
         }
-
-        // The interrupted (or finished) scheduler is still pristine.
-        let again = scheduler
-            .schedule_with_budget(&graph, &platform, &ComputeBudget::unlimited())
-            .expect("unlimited budget always finishes");
-        prop_assert_eq!(again.schedule, reference.schedule);
     }
 
     /// A token cancelled before the call interrupts every scheduler
@@ -73,10 +107,12 @@ proptest! {
         let token = CancelToken::new();
         token.cancel();
         let budget = ComputeBudget::unlimited().with_cancel(token);
-        let result = EasScheduler::full().schedule_with_budget(&graph, &platform, &budget);
-        prop_assert!(
-            matches!(result, Err(SchedulerError::Interrupted)),
-            "got {result:?}"
-        );
+        for (scheduler, _) in schedulers() {
+            let result = scheduler.schedule_traced(&graph, &platform, &budget, &mut NullSink);
+            prop_assert!(
+                matches!(result, Err(SchedulerError::Interrupted)),
+                "{}: got {result:?}", scheduler.name()
+            );
+        }
     }
 }

@@ -210,8 +210,9 @@ fn tgff(platform: &Platform, seed: u64, tasks: usize, laxity: f64) -> TaskGraph 
 /// Digests pinned by [`schedules_and_repair_counters_match_golden_digests`],
 /// in its run order: EAS on the three svc_cold-like graphs, EAS on the
 /// three tight graphs, EAS-base on the svc_cold-like graphs, the
-/// warm-start repair, then EAS on Fig. 6 benchmark 5.
-const GOLDEN: [Golden; 11] = [
+/// warm-start repair, EAS on Fig. 6 benchmark 5, then the default
+/// annealer on the three tight graphs.
+const GOLDEN: [Golden; 14] = [
     (0xf58cae58ab0b9e69, (0, 0, 0)),
     (0xc5fb7c05d2dcaaa6, (0, 0, 0)),
     (0xfde4ccce16983222, (0, 0, 0)),
@@ -223,6 +224,9 @@ const GOLDEN: [Golden; 11] = [
     (0xfde4ccce16983222, (0, 0, 0)),
     (0x69cb6bd0a53d3da3, (2, 31, 1994)),
     (0xd69c5772b862eab2, (17, 6, 13228)),
+    (0xb579ff337a5c6bf2, (0, 0, 0)),
+    (0x436f46aec353ae39, (0, 0, 0)),
+    (0xd8d0366596fdc184, (0, 0, 0)),
 ];
 
 /// Golden-byte oracle for the scheduler hot path: F(i,k) evaluation,
@@ -270,6 +274,13 @@ fn schedules_and_repair_counters_match_golden_digests() {
     let fig6 = tgff(&p44, 5, 500, 1.55);
     let out = EasScheduler::full().schedule(&fig6, &p44).expect("eas");
     got.push(golden(&out));
+    // The annealer as `noceas --scheduler anneal` and the service run it.
+    for g in &tight {
+        let out = AnnealScheduler::default()
+            .schedule(g, &p22)
+            .expect("anneal");
+        got.push(golden(&out));
+    }
 
     let tight_runs = &got[3..6];
     assert!(tight_runs.iter().any(|(_, (lts, _, _))| *lts > 0));

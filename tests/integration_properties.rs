@@ -129,7 +129,7 @@ proptest! {
     }
 
     /// The two-phase mapping baseline respects its load-balance cap on
-    /// every workload (no PE carries more than balance_factor x the
+    /// every workload (no PE carries more than 1.5x the
     /// average mean load, unless capping was infeasible everywhere).
     #[test]
     fn mapping_baseline_is_load_balanced(cfg in tgff_config()) {
