@@ -15,8 +15,8 @@
 //!   cross-node cache hierarchy, not a proxy: the fill result is
 //!   served and cached like a local hit, and a miss everywhere falls
 //!   back to local compute, so a dead peer can never fail a request.
-//! - **Failure detection.** A per-peer detector ([`health`]) tracks
-//!   consecutive failures (Up → Suspect → Down) so fills and
+//! - **Failure detection.** A per-peer detector (`cluster/health.rs`)
+//!   tracks consecutive failures (Up → Suspect → Down) so fills and
 //!   replication skip known-down peers in O(1) instead of burning
 //!   the per-operation timeout; Down peers are re-probed on a
 //!   bounded exponential backoff and recover on the first success.
@@ -83,7 +83,7 @@ pub struct ClusterConfig {
     /// Anti-entropy sweep period; `Duration::ZERO` disables the
     /// sweep (retry queues still converge live peers).
     pub anti_entropy_interval: Duration,
-    /// Per-peer retry queue bound (see [`REPL_QUEUE_MAX`]).
+    /// Per-peer retry queue bound (default 4096 records).
     pub retry_queue_max: usize,
 }
 

@@ -251,6 +251,17 @@ struct JobTable {
     finished: VecDeque<String>,
 }
 
+impl JobTable {
+    /// Forgets the oldest finished jobs past the retention bound.
+    fn prune(&mut self) {
+        while self.finished.len() > FINISHED_JOBS_RETAINED {
+            if let Some(old) = self.finished.pop_front() {
+                self.map.remove(&old);
+            }
+        }
+    }
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -352,6 +363,7 @@ impl Engine {
     ///
     /// Propagates journal open/recovery I/O failures.
     pub fn new(config: EngineConfig) -> io::Result<Arc<Self>> {
+        let started = Instant::now();
         let (journal, backlog) = match &config.journal {
             Some(path) => {
                 let (journal, records) = Journal::open(path)?;
@@ -446,25 +458,28 @@ impl Engine {
             let weak = Arc::downgrade(&engine);
             cluster.bind_source(weak as std::sync::Weak<dyn RecordSource>);
         }
-        let backlog_len = backlog.len();
-        let kept = engine.replay(backlog);
-        engine.compact_journal(kept, backlog_len);
+        engine.replay(backlog, started);
         Ok(engine)
     }
 
     /// Applies the journal backlog: one pass folds the records per job
     /// id (keeping first-seen order), then each job is restored to its
     /// recorded terminal phase or, lacking one, re-enqueued to run.
+    /// Restored jobs obey the same retention bound as live ones: only
+    /// the newest [`FINISHED_JOBS_RETAINED`] in replay order stay
+    /// pollable.
     ///
-    /// Returns the records the journal still needs after this replay —
-    /// the compaction set. A record can be dropped once the response
-    /// bytes it protects are durable (and verified readable) in the
-    /// persistent store; everything else is kept.
-    fn replay(&self, backlog: Vec<Record>) -> Vec<Record> {
+    /// The journal is then compacted to the records it still needs. A
+    /// record can be dropped once the response bytes it protects are
+    /// durable (and verified readable) in the persistent store;
+    /// everything else is kept. The `journal-replay` log event times
+    /// the restart from `started` (before the journal opened) through
+    /// compaction.
+    fn replay(&self, backlog: Vec<Record>, started: Instant) {
         let mut order: Vec<String> = Vec::new();
         let mut accepted: HashMap<String, String> = HashMap::new();
         let mut terminal: HashMap<String, Record> = HashMap::new();
-        let total = backlog.len() as u64;
+        let total = backlog.len();
         for record in backlog {
             let id = record.id().to_owned();
             if !accepted.contains_key(&id) && !terminal.contains_key(&id) {
@@ -480,6 +495,11 @@ impl Engine {
             }
         }
         let mut kept: Vec<Record> = Vec::new();
+        let (mut from_store, mut rerun) = (0, 0);
+        let mut rerun_job = |id: &str, body: &str| match self.recover(id, body) {
+            Ok(()) => rerun += 1,
+            Err(reason) => self.restore_finished(id, JobPhase::Failed(reason)),
+        };
         let keep_accepted = |kept: &mut Vec<Record>, id: &str| {
             if let Some(body) = accepted.get(id) {
                 kept.push(Record::Accepted {
@@ -517,17 +537,14 @@ impl Engine {
                     self.restore_finished(&id, JobPhase::Done(output));
                 }
                 Some(Record::DoneStored { .. }) => {
-                    // The bytes live in the store; resolve them by the
-                    // key derived from the accepted body. Resolution
-                    // re-verifies the record checksum, so a quarantined
-                    // or degraded store falls through to a re-run —
-                    // never to wrong bytes.
-                    let resolved = accepted
-                        .get(&id)
-                        .and_then(|b| journaled_key(b))
-                        .and_then(|key| self.store.get(&key));
-                    match resolved {
-                        Some(output) => {
+                    // The store index is keyed on the id's own lanes; a
+                    // record counts only if its stored key hashes back
+                    // to the id. The read re-verifies the checksum, so a
+                    // quarantined or degraded store falls through to a
+                    // re-run — never to wrong bytes.
+                    match self.lookup_record(&id) {
+                        Some((_, output)) => {
+                            from_store += 1;
                             self.restore_finished(&id, JobPhase::Done(output));
                         }
                         None => match accepted.get(&id) {
@@ -535,9 +552,7 @@ impl Engine {
                             // bytes the store lost: re-run the job.
                             Some(body) => {
                                 keep_accepted(&mut kept, &id);
-                                if let Err(reason) = self.recover(&id, body) {
-                                    self.restore_finished(&id, JobPhase::Failed(reason));
-                                }
+                                rerun_job(&id, body);
                             }
                             None => {
                                 self.restore_finished(
@@ -564,27 +579,34 @@ impl Engine {
                 None => {
                     keep_accepted(&mut kept, &id);
                     let body = accepted.get(&id).expect("order only holds seen ids");
-                    if let Err(reason) = self.recover(&id, body) {
-                        self.restore_finished(&id, JobPhase::Failed(reason));
-                    }
+                    rerun_job(&id, body);
                 }
             }
         }
+        self.jobs.lock().expect("jobs lock").prune();
+        self.compact_journal(kept, total);
         self.metrics
             .journal_replayed
-            .fetch_add(total, Ordering::Relaxed);
+            .fetch_add(total as u64, Ordering::Relaxed);
         if total > 0 {
             self.log.event(
                 LogLevel::Info,
                 "journal-replay",
                 &format!("replayed {total} journal records after restart"),
-                &[("records", &total.to_string())],
+                &[
+                    ("records", &total.to_string()),
+                    (
+                        "recovery_ms",
+                        &format!("{:.1}", started.elapsed().as_secs_f64() * 1e3),
+                    ),
+                    ("from_store", &from_store.to_string()),
+                    ("rerun", &rerun.to_string()),
+                ],
             );
         }
         self.metrics
             .queue_depth
             .store(self.queue.depth() as u64, Ordering::Relaxed);
-        kept
     }
 
     /// Rewrites the journal down to `kept` when the store's disk tier
@@ -1309,11 +1331,7 @@ impl Engine {
     fn retire(&self, id: &str) {
         let mut table = self.jobs.lock().expect("jobs lock");
         table.finished.push_back(id.to_owned());
-        while table.finished.len() > FINISHED_JOBS_RETAINED {
-            if let Some(old) = table.finished.pop_front() {
-                table.map.remove(&old);
-            }
-        }
+        table.prune();
     }
 
     /// Closes the queue: pending submissions fail with
@@ -1383,7 +1401,7 @@ impl Engine {
 
     /// Resolves a 32-hex content hash to its stored record without
     /// touching the peer-lookup counters — shared by the internal
-    /// lookup endpoint and the anti-entropy sweep.
+    /// lookup endpoint, the anti-entropy sweep and journal replay.
     fn lookup_record(&self, hash: &str) -> Option<(String, JobOutput)> {
         let noted = self
             .hash_keys
@@ -2005,6 +2023,51 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    #[test]
+    fn restored_jobs_obey_the_retention_bound() {
+        let path = std::env::temp_dir().join(format!(
+            "noc-engine-journal-{}-retention",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let ids: Vec<String> = (0..FINISHED_JOBS_RETAINED + 6)
+            .map(|i| crate::hash::content_hash(&format!("job-{i}")))
+            .collect();
+        let (journal, _) = Journal::open(&path).expect("journal opens");
+        for (i, id) in ids.iter().enumerate() {
+            let accepted = Record::Accepted {
+                id: id.clone(),
+                body: "{}".to_owned(),
+            };
+            let done = Record::Done {
+                id: id.clone(),
+                degraded: false,
+                body: format!("{{\"n\":{i}}}"),
+            };
+            journal.append(&accepted).expect("appends");
+            journal.append(&done).expect("appends");
+        }
+        drop(journal);
+
+        // Only the newest jobs in replay order stay pollable, exactly as
+        // if they had finished live.
+        let restarted = engine(EngineConfig {
+            journal: Some(path.to_string_lossy().into_owned()),
+            ..EngineConfig::default()
+        });
+        for id in &ids[..6] {
+            assert!(restarted.job(id).is_none(), "job {id} outlived the bound");
+        }
+        for (i, id) in ids.iter().enumerate().skip(6) {
+            let JobPhase::Done(output) = restarted.job(id).expect("newest jobs stay").phase()
+            else {
+                panic!("restored job must be terminal");
+            };
+            assert_eq!(*output.body, format!("{{\"n\":{i}}}"));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// Fresh per-test store directory under the OS temp dir.
     fn store_dir(name: &str) -> std::path::PathBuf {
         let dir =
@@ -2168,5 +2231,119 @@ mod tests {
         );
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The string fields of each `journal-replay` event in a JSONL
+    /// service log, in order.
+    fn replay_events(log: &std::path::Path) -> Vec<HashMap<String, String>> {
+        std::fs::read_to_string(log)
+            .expect("log exists")
+            .lines()
+            .map(|line| {
+                let value: Value = serde_json::from_str(line).expect("log lines are JSON");
+                let fields = value.as_object().expect("log lines are objects").iter();
+                fields
+                    .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_owned())))
+                    .collect::<HashMap<_, _>>()
+            })
+            .filter(|event| event["event"] == "journal-replay")
+            .collect()
+    }
+
+    #[test]
+    fn done_stored_restart_resolves_jobs_by_id() {
+        let dir = store_dir("done-stored");
+        let tmp = |name: &str| {
+            let path = std::env::temp_dir().join(format!(
+                "noc-engine-{}-done-stored.{name}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            path
+        };
+        let (journal, pre_compaction, log) = (tmp("journal"), tmp("orig"), tmp("jsonl"));
+        let cfg = EngineConfig {
+            log_json: Some(log.to_string_lossy().into_owned()),
+            ..store_cfg(&dir, Some(&journal))
+        };
+        let graph = graph_json();
+
+        // Fill: each async job runs, lands in the store and is journaled
+        // as `done-stored`, a record that carries no bytes.
+        let fill = engine(cfg.clone());
+        let jobs: Vec<(String, Arc<Job>)> = ["edf", "dls", "eas"]
+            .iter()
+            .map(|scheduler| {
+                let body = format!(
+                    r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"{scheduler}","mode":"async"}}"#
+                );
+                let Submission::Enqueued { id, job } = fill.submit(&body) else {
+                    panic!("async submission must enqueue");
+                };
+                (id, job)
+            })
+            .collect();
+        drain(&fill);
+        let filled: Vec<(String, Arc<String>)> = jobs
+            .into_iter()
+            .map(|(id, job)| {
+                let JobPhase::Done(output) = job.wait() else {
+                    panic!("fill job must finish");
+                };
+                (id, output.body)
+            })
+            .collect();
+        drop(fill);
+        std::fs::copy(&journal, &pre_compaction).expect("copies the journal");
+
+        // Restart: every job resolves from the store by its id alone.
+        let restarted = engine(cfg.clone());
+        for (id, body) in &filled {
+            let JobPhase::Done(output) = restarted.job(id).expect("job restored").phase() else {
+                panic!("restored job must be terminal");
+            };
+            assert_eq!(output.body, *body, "restored bytes must match the fill");
+        }
+        assert_eq!(
+            restarted.metrics.schedules_executed.load(Ordering::Relaxed),
+            0
+        );
+        let text = restarted.metrics.render();
+        assert!(text.contains(&format!("noc_svc_store_hits_total {}\n", filled.len())));
+        drop(restarted);
+
+        // Restart from the journal as it was before compaction, with the
+        // store gone: every job re-runs to the same bytes.
+        std::fs::remove_dir_all(&dir).expect("deletes the store");
+        std::fs::copy(&pre_compaction, &journal).expect("restores the journal");
+        let rerun = engine(cfg);
+        drain(&rerun);
+        for (id, body) in &filled {
+            let JobPhase::Done(output) = rerun.job(id).expect("job re-admitted").wait() else {
+                panic!("re-run job must finish");
+            };
+            assert_eq!(output.body, *body, "re-run bytes must match the fill");
+        }
+        assert_eq!(
+            rerun.metrics.schedules_executed.load(Ordering::Relaxed),
+            filled.len() as u64
+        );
+        drop(rerun);
+
+        // The log says how long each restart took and how its jobs came
+        // back.
+        let events = replay_events(&log);
+        assert_eq!(events.len(), 2, "one journal-replay event per restart");
+        for (event, from_store, rerun) in [(&events[0], "3", "0"), (&events[1], "0", "3")] {
+            assert_eq!(event["records"], "6");
+            assert_eq!(event["from_store"], from_store);
+            assert_eq!(event["rerun"], rerun);
+            let recovery_ms = event["recovery_ms"].parse::<f64>();
+            assert!(recovery_ms.is_ok_and(|ms| ms >= 0.0), "{event:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        for path in [&journal, &pre_compaction, &log] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

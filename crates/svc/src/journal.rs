@@ -13,7 +13,7 @@
 //! # On-disk format
 //!
 //! A flat sequence of length-prefixed, checksummed frames, encoded and
-//! scanned by the store's segment codec ([`crate::store::segment`]):
+//! scanned by the store's segment codec (`store/segment.rs`):
 //!
 //! ```text
 //! [u32 LE payload length][u64 LE FNV-1a checksum][JSON payload]
@@ -60,8 +60,10 @@ pub enum Record {
     /// The job finished and its response bytes are durable in the
     /// persistent schedule store ([`crate::store`]) — the journal
     /// records only the fact, not the bytes, which keeps it bounded.
-    /// Replay resolves the body from the store by the key derived from
-    /// the `Accepted` record; a store miss falls back to a re-run
+    /// Replay resolves the body from the store by the id alone, whose
+    /// two 64-bit halves are the store index's key, and accepts the
+    /// record only if its stored full key hashes back to the id. A
+    /// store miss falls back to a re-run from the `Accepted` body
     /// (deterministic scheduling reproduces the same bytes).
     DoneStored {
         /// Content-hash job id.

@@ -5,11 +5,11 @@
 //!
 //! Division of labour:
 //!
-//! - **Event loops** ([`reactor`]) own the sockets: accept, read,
+//! - **Event loops** (`net/reactor.rs`) own the sockets: accept, read,
 //!   incremental parse ([`crate::http::parse_request`]), write with
 //!   backpressure, keep-alive idle sweep. All loops poll one shared
 //!   listener; the kernel's accept race balances them.
-//! - **Connection state machines** ([`conn`]) keep per-connection
+//! - **Connection state machines** (`net/conn.rs`) keep per-connection
 //!   buffers and the in-order response slot queue that makes
 //!   pipelining safe: responses are written strictly in request
 //!   order, however out of order the jobs finish.
@@ -17,7 +17,7 @@
 //!   [`crate::server`]; a submission that needs a worker registers a
 //!   [`crate::engine::Job::on_finish`] watcher and parks only its
 //!   *slot*, not a thread. The worker's completion is posted to the
-//!   owning loop's [`Inbox`] and flushed on the next wakeup.
+//!   owning loop's inbox and flushed on the next wakeup.
 //!
 //! Responses are rendered to wire bytes by
 //! [`crate::http::render_response`].

@@ -1,6 +1,6 @@
 //! The HTTP server: request routing for the nonblocking reactor
 //! ([`crate::net`]) over one `TcpListener`, dispatching to the
-//! [`Engine`](crate::engine::Engine), with a graceful shutdown that
+//! [`Engine`], with a graceful shutdown that
 //! drains admitted jobs before the process exits.
 //!
 //! Endpoints:

@@ -5,9 +5,9 @@
 //! module makes that state durable. A [`TieredStore`] fronts the
 //! in-memory LRU ([`crate::cache::ScheduleCache`]) over an on-disk
 //! [`Store`]: an append-only segment log of checksummed,
-//! length-prefixed response records ([`segment`]) plus a packed
+//! length-prefixed response records (`store/segment.rs`) plus a packed
 //! immutable index per sealed segment, rebuilt on rotation
-//! ([`index`]). Lookups hit RAM first, fall to disk, and promote disk
+//! (`store/index.rs`). Lookups hit RAM first, fall to disk, and promote disk
 //! hits back into RAM; inserts write through. Keys are canonical
 //! request strings — the same content addressing as the cache — so a
 //! restart, an LRU eviction, or a second replica sharing the directory

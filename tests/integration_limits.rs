@@ -3,6 +3,8 @@
 //! typed error, corrupts nothing, and a subsequent unlimited run on the
 //! very same scheduler reproduces the reference schedule exactly.
 
+use std::cell::Cell;
+
 use proptest::prelude::*;
 
 use noc_ctg::prelude::*;
@@ -49,54 +51,94 @@ fn tgff_config() -> impl Strategy<Value = TgffConfig> {
     })
 }
 
+/// A step budget lets the search finish with a valid schedule when it
+/// covers every checkpoint an unlimited run visits, and fails with the
+/// typed exhaustion error otherwise — and either way the same scheduler
+/// afterwards reproduces the reference schedule byte for byte, so an
+/// interrupt leaves no residue.
+///
+/// The allowance is drawn as a fraction of each scheduler's own
+/// unlimited checkpoint count (full EAS visits fewer than 30 on these
+/// graphs, the annealer over a thousand), so every scheduler takes both
+/// the finish and the exhaustion branch; the run counts the interrupted
+/// cases per scheduler and requires some of each kind.
+#[test]
+fn step_budgets_interrupt_cleanly() {
+    const CASES: u32 = 24;
+    let interrupted: [Cell<u32>; 2] = Default::default();
+    proptest::test_runner::run_cases(
+        ProptestConfig::with_cases(CASES),
+        "step_budgets_interrupt_cleanly",
+        &(tgff_config(), 0.0f64..2.0),
+        |(cfg, fraction)| {
+            let platform = platform();
+            let graph = TgffGenerator::new(cfg)
+                .generate(&platform)
+                .expect("generates");
+            for (n, (scheduler, min_checkpoints)) in schedulers().into_iter().enumerate() {
+                let name = scheduler.name();
+                let unlimited = ComputeBudget::unlimited();
+                let reference = scheduler
+                    .schedule_traced(&graph, &platform, &unlimited, &mut NullSink)
+                    .expect("schedules");
+                let checkpoints = unlimited.steps_used();
+                prop_assert!(
+                    checkpoints >= min_checkpoints,
+                    "{name}: {checkpoints} checkpoints, expected at least {min_checkpoints}"
+                );
+
+                let steps = (fraction * checkpoints as f64) as u64;
+                let budget = ComputeBudget::steps(steps);
+                match scheduler.schedule_traced(&graph, &platform, &budget, &mut NullSink) {
+                    Ok(outcome) => {
+                        prop_assert!(
+                            steps >= checkpoints,
+                            "{name}: {steps} < {checkpoints} steps"
+                        );
+                        prop_assert!(validate(&outcome.schedule, &graph, &platform).is_ok());
+                        prop_assert_eq!(
+                            &outcome.schedule,
+                            &reference.schedule,
+                            "{}: a budget that suffices must not change the result",
+                            name
+                        );
+                    }
+                    Err(SchedulerError::BudgetExhausted(cause)) => {
+                        prop_assert_eq!(cause, Interrupt::Steps);
+                        prop_assert!(
+                            steps < checkpoints,
+                            "{name}: {steps} >= {checkpoints} steps"
+                        );
+                        interrupted[n].set(interrupted[n].get() + 1);
+                    }
+                    Err(other) => prop_assert!(false, "{name}: unexpected error: {other}"),
+                }
+
+                // The interrupted (or finished) scheduler is still pristine.
+                let again = scheduler
+                    .schedule_traced(
+                        &graph,
+                        &platform,
+                        &ComputeBudget::unlimited(),
+                        &mut NullSink,
+                    )
+                    .expect("unlimited budget always finishes");
+                prop_assert_eq!(again.schedule, reference.schedule);
+            }
+        },
+    );
+    for ((scheduler, _), count) in schedulers().iter().zip(&interrupted) {
+        let name = scheduler.name();
+        assert!(count.get() > 0, "{name}: no case exhausted its step budget");
+        assert!(
+            count.get() < CASES,
+            "{name}: no case finished within its budget"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// A step budget lets the search finish with a valid schedule when
-    /// it covers every checkpoint an unlimited run visits, and fails
-    /// with the typed exhaustion error otherwise — and either way the
-    /// same scheduler afterwards reproduces the reference schedule byte
-    /// for byte, so an interrupt leaves no residue.
-    #[test]
-    fn step_budgets_interrupt_cleanly(cfg in tgff_config(), steps in 0u64..5_000) {
-        let platform = platform();
-        let graph = TgffGenerator::new(cfg).generate(&platform).expect("generates");
-        for (scheduler, min_checkpoints) in schedulers() {
-            let name = scheduler.name();
-            let unlimited = ComputeBudget::unlimited();
-            let reference = scheduler
-                .schedule_traced(&graph, &platform, &unlimited, &mut NullSink)
-                .expect("schedules");
-            let checkpoints = unlimited.steps_used();
-            prop_assert!(
-                checkpoints >= min_checkpoints,
-                "{name}: {checkpoints} checkpoints, expected at least {min_checkpoints}"
-            );
-
-            let budget = ComputeBudget::steps(steps);
-            match scheduler.schedule_traced(&graph, &platform, &budget, &mut NullSink) {
-                Ok(outcome) => {
-                    prop_assert!(steps >= checkpoints, "{name}: {steps} < {checkpoints} steps");
-                    prop_assert!(validate(&outcome.schedule, &graph, &platform).is_ok());
-                    prop_assert_eq!(
-                        &outcome.schedule, &reference.schedule,
-                        "{}: a budget that suffices must not change the result", name
-                    );
-                }
-                Err(SchedulerError::BudgetExhausted(cause)) => {
-                    prop_assert_eq!(cause, Interrupt::Steps);
-                    prop_assert!(steps < checkpoints, "{name}: {steps} >= {checkpoints} steps");
-                }
-                Err(other) => prop_assert!(false, "{name}: unexpected error: {other}"),
-            }
-
-            // The interrupted (or finished) scheduler is still pristine.
-            let again = scheduler
-                .schedule_traced(&graph, &platform, &ComputeBudget::unlimited(), &mut NullSink)
-                .expect("unlimited budget always finishes");
-            prop_assert_eq!(again.schedule, reference.schedule);
-        }
-    }
 
     /// A token cancelled before the call interrupts every scheduler
     /// immediately, as the dedicated `Interrupted` error.
