@@ -291,19 +291,11 @@ fn main() {
         cases,
         store_prior,
     };
-    match serde_json::to_string_pretty(&baseline) {
-        Ok(json) => match std::fs::write(&out_path, json) {
-            Ok(()) => println!("\nBaseline written to {out_path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot serialize baseline: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = noc_bench::write_json(&out_path, &baseline) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
+    println!("\nBaseline written to {out_path}");
     if !gate_failures.is_empty() {
         for failure in &gate_failures {
             eprintln!("gate failure: {failure}");

@@ -75,19 +75,11 @@ fn main() {
          `recovered` counts the deadlines the repair wins back."
     );
 
-    match serde_json::to_string_pretty(&rows) {
-        Ok(json) => match std::fs::write(&out_path, json) {
-            Ok(()) => println!("\nArtifact written to {out_path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot serialize rows: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = noc_bench::write_json(&out_path, &rows) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
+    println!("\nArtifact written to {out_path}");
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> T {

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
+use noc_bench::svc::{connect, mix, post_expect};
 use noc_svc::client::Client;
 use noc_svc::{Server, ServiceConfig};
 
@@ -58,65 +59,36 @@ fn config(flight_recorder_entries: usize) -> ServiceConfig {
     }
 }
 
-fn mix(seed: u64) -> Vec<String> {
-    let platform = noc_svc::spec::parse_platform("mesh:2x2").expect("platform parses");
-    let mut mix = Vec::new();
-    for g in 0..GRAPHS {
-        let mut cfg = noc_ctg::prelude::TgffConfig::category_i(seed.wrapping_add(g as u64));
-        cfg.task_count = 10 + (g % 3) * 2;
-        let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-            .generate(&platform)
-            .expect("graph generates");
-        let graph_json = serde_json::to_string(&graph).expect("serializes");
-        for scheduler in ["edf", "dls"] {
-            mix.push(format!(
-                r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"{scheduler}"}}"#
-            ));
-        }
-    }
-    mix
+/// Posts one body that must answer 200 and returns the answer;
+/// anything else is fatal.
+fn post(client: &mut Client, body: &str, what: std::fmt::Arguments) -> String {
+    post_expect(client, "/v1/schedule", body, 200)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {what}: {e}");
+            std::process::exit(1);
+        })
+        .body
 }
 
 /// Warms one server with every problem (the compute round) and
 /// returns the reference bodies.
 fn warm(client: &mut Client, mix: &[String], label: &str) -> Vec<String> {
-    let mut bodies = Vec::with_capacity(mix.len());
-    for (idx, body) in mix.iter().enumerate() {
-        match client.post("/v1/schedule", body) {
-            Ok(resp) if resp.status == 200 => bodies.push(resp.body),
-            Ok(resp) => {
-                eprintln!(
-                    "error: {label} answered {} warming problem {idx}",
-                    resp.status
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: {label} failed warming problem {idx}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    bodies
+    mix.iter()
+        .enumerate()
+        .map(|(idx, body)| post(client, body, format_args!("{label} warming problem {idx}")))
+        .collect()
 }
 
 /// One timed round of cached-hit posts cycling the mix. Returns the
-/// round's wall time; any non-200 or transport error is fatal.
+/// round's wall time.
 fn round(client: &mut Client, mix: &[String], label: &str) -> Duration {
     let started = Instant::now();
     for n in 0..REQUESTS_PER_ROUND {
-        let body = &mix[n % mix.len()];
-        match client.post("/v1/schedule", body) {
-            Ok(resp) if resp.status == 200 => {}
-            Ok(resp) => {
-                eprintln!("error: {label} answered {} mid-round", resp.status);
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: {label} failed mid-round: {e}");
-                std::process::exit(1);
-            }
-        }
+        post(
+            client,
+            &mix[n % mix.len()],
+            format_args!("{label} mid-round"),
+        );
     }
     started.elapsed()
 }
@@ -156,12 +128,12 @@ fn main() {
 
     let traced = Server::start(config(4096)).expect("traced server starts");
     let plain = Server::start(config(0)).expect("plain server starts");
-    let mix = mix(0x0B5);
+    let mix = mix(0x0B5, GRAPHS, 3, &["edf", "dls"]);
 
-    let mut traced_client =
-        Client::connect_retry(traced.addr(), Duration::from_secs(10)).expect("traced connects");
-    let mut plain_client =
-        Client::connect_retry(plain.addr(), Duration::from_secs(10)).expect("plain connects");
+    let patience = Duration::from_secs(10);
+    let timeout = Duration::from_secs(60);
+    let mut traced_client = connect(traced.addr(), patience, timeout).expect("traced connects");
+    let mut plain_client = connect(plain.addr(), patience, timeout).expect("plain connects");
 
     // Warm both with the full mix, and gate byte identity right here:
     // the recorder must never leak into response bodies.
@@ -218,19 +190,11 @@ fn main() {
         byte_identical,
         gate_pct,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => match std::fs::write(&out_path, json) {
-            Ok(()) => println!("Artifact written to {out_path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = noc_bench::write_json(&out_path, &report) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
+    println!("Artifact written to {out_path}");
     if failed {
         std::process::exit(1);
     }

@@ -256,19 +256,11 @@ fn main() {
         recovery: vec![with_index, rescanned],
     };
     let failed = report.degraded || report.recovery.iter().any(|r| !r.byte_identical);
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => match std::fs::write(&out_path, json) {
-            Ok(()) => println!("\nBaseline written to {out_path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot serialize baseline: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = noc_bench::write_json(&out_path, &report) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
+    println!("\nBaseline written to {out_path}");
     let _ = std::fs::remove_dir_all(&dir);
     if failed {
         eprintln!("gate failure: recovery diverged or the store degraded");

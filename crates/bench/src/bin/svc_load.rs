@@ -1,114 +1,408 @@
-//! Load generator for the `noceas serve` scheduling service. Fires a
-//! fixed-seed request mix at a running server from several concurrent
-//! keep-alive clients, checks every answer for byte determinism
-//! (identical bodies for identical requests, across clients and across
-//! cold/cached/coalesced serving), and writes `BENCH_service.json`
-//! with throughput, latency percentiles and cache statistics.
+//! Load generator and recovery drills for a running `noceas serve`.
+//! One mode per run; besides `--timeout-ms` (client read/write
+//! timeout, default 60000) each mode reads only its own flags:
 //!
-//! Flags: `--addr <host:port>` (default `127.0.0.1:8533`),
-//! `--requests <N>` (default 1200), `--clients <N>` (default 4),
-//! `--graphs <N>` distinct problems (default 12), `--seed <N>`
-//! (default 0x5EC), `--timeout-ms <N>` client read/write timeout
-//! (default 60000), `--stats` to scrape the per-stage
-//! `noc_svc_stage_seconds` histograms before and after the wave and
-//! record the deltas in the artifact. The first positional argument
-//! overrides the artifact path. Exits non-zero on any transport error,
-//! non-200 answer, or determinism violation.
+//! | mode flag | also reads | writes | CI job |
+//! |---|---|---|---|
+//! | none (load wave) | `--addr --requests --clients --graphs --seed --stats --idle-conns` | `BENCH_service.json` | smoke-service, smoke-cluster |
+//! | `--nodes a,b,…` | `--graphs --seed` | `BENCH_cluster.json` | smoke-cluster, smoke-obs |
+//! | `--chaos-net c,d,…` | `--nodes --graphs --seed` | `BENCH_partition.json` | smoke-partition |
+//! | `--chaos` | `--addr --jobs --seed --state` | `chaos_state.json` | smoke-chaos |
+//! | `--chaos-verify` | `--addr --state` | `BENCH_chaos.json` | smoke-chaos |
+//! | `--delta` | `--addr --jobs --seed --state` | `delta_state.json` | smoke-delta |
+//! | `--delta-verify` | `--addr --state --expect-store` | `BENCH_delta_svc.json` | smoke-delta |
+//! | `--store-fill` | `--addr --jobs --seed --state` | `store_state.json` | smoke-store |
+//! | `--store-verify` | `--addr --state` | `BENCH_store_svc.json` | smoke-store |
 //!
-//! `--idle-conns <N>` additionally parks N idle keep-alive
-//! connections on the server for the whole wave (the reactor's 10k+
-//! concurrent-connection gate) and fails the run if a post-wave
-//! sample of them no longer answers. Raise `ulimit -n` accordingly,
-//! and give the server an `--timeout-ms`-scale io timeout so the
-//! keep-alive sweep doesn't reap the pool mid-wave.
-//!
-//! Cluster mode, for the multi-node CI gate:
-//!
-//! * `--nodes <addr,addr,...>` — sprays the fixed-seed problem mix
-//!   round-robin across the listed nodes (fill), then demands every
-//!   node answer every problem byte-identically (verify), counting
-//!   peer cache-fills vs. local recomputes from each node's
-//!   `noc_svc_cluster_*` metrics, and writes `BENCH_cluster.json`,
-//!   including per-hop latency attribution: verify-round percentiles
-//!   split by `X-Cache` serving class, slow-ring membership, and
-//!   per-stage span costs scraped from the nodes' flight recorders.
-//! * `--chaos-net <ctrl,ctrl,...>` (with `--nodes`) — partition drill
-//!   against nodes listening behind `net_chaos` proxies, one control
-//!   address per node: fill, deny the first node's inbound proxy,
-//!   read everything from the survivors (latency percentiles prove
-//!   the failure detector skips the down peer instead of burning the
-//!   per-op timeout), heal, wait for anti-entropy to restore full
-//!   owner+successor replication (digest-verified), then gate a
-//!   byte-identical full re-read from every node with **zero**
-//!   schedule recomputes. Writes `BENCH_partition.json`. The `--nodes`
-//!   strings must be the proxy addresses exactly as the nodes name
-//!   each other, so the driver's ring matches the cluster's.
-//!
-//! Chaos modes, for the crash-recovery CI gate:
-//!
-//! * `--chaos [--jobs N] [--state chaos_state.json]` — attacks a
-//!   *journaled* server: posts `chaos-panic` requests (each must fail
-//!   with an isolated 500 while the service keeps answering), kills
-//!   connections mid-request, then submits N async jobs and records
-//!   their ids plus the locally computed expected response bytes in the
-//!   state file. The harness SIGKILLs the server afterwards.
-//! * `--chaos-verify --state chaos_state.json` — runs against the
-//!   *restarted* server: polls every recorded job until the replayed
-//!   journal finishes it, byte-compares each response against the
-//!   expected bytes, re-posts each body expecting the identical answer,
-//!   and writes the `BENCH_chaos.json` artifact.
-//!
-//! Delta modes, for the warm-start CI gate (`POST /v1/schedule/delta`):
-//!
-//! * `--delta [--jobs N] [--state delta_state.json]` — computes every
-//!   delta answer locally (prior EAS schedule, edits applied, warm-start
-//!   repair), checks sync answers from two independent clients are
-//!   byte-identical to each other and to the local bytes (covering both
-//!   warm-start and forced-fallback edit sequences), then submits N
-//!   async journaled delta jobs and records their ids, bodies, expected
-//!   bytes, and the graph/edits needed to re-validate. The harness
-//!   SIGKILLs the server afterwards.
-//! * `--delta-verify --state delta_state.json` — runs against the
-//!   *restarted* server: polls every recorded delta job, byte-compares
-//!   each response against the expected bytes, re-posts each body
-//!   expecting the identical answer, structurally validates every
-//!   repaired schedule against its *edited* graph and platform, and
-//!   writes the `BENCH_delta_svc.json` artifact. With `--expect-store`
-//!   the server must be store-backed: the gate additionally posts a
-//!   fresh-edit delta whose prior can only come from the persistent
-//!   store, and requires `noc_svc_store_hits_total` > 0,
-//!   `noc_svc_delta_prior_hits_total` > 0 and an undegraded store.
-//!
-//! Store modes, for the persistent-store CI gate (`--store-dir`):
-//!
-//! * `--store-fill [--jobs N] [--state store_state.json]` — posts N
-//!   *synchronous* schedule requests to a store-backed server (each
-//!   response is durable on disk by the time the 200 arrives), records
-//!   every body with its expected bytes in the state file, then
-//!   submits a trailing wave of async jobs (a heavy pin first) so the
-//!   harness's SIGKILL lands with segment writes and journal entries
-//!   in flight.
-//! * `--store-verify --state store_state.json` — runs against the
-//!   *restarted* server: waits for the replayed backlog to drain,
-//!   re-posts every recorded body and requires a byte-identical 200
-//!   served as a cache hit with **zero** schedule recomputes and at
-//!   least one disk-tier store hit per record
-//!   (`noc_svc_store_hits_total`), requires the store undegraded, and
-//!   writes the `BENCH_store_svc.json` artifact.
+//! Defaults: `--addr 127.0.0.1:8533`, `--requests 1200`, `--clients
+//! 4`, `--graphs 12`, `--seed 1516`, `--jobs 8`, `--idle-conns 0`. A
+//! positional argument overrides the artifact path, `--state` the
+//! file a fill mode writes and its verify mode reads. A flag the mode
+//! does not read exits 2 before any connection opens; a transport
+//! error, an unexpected status or a byte divergence exits 1. What each
+//! mode checks: `docs/SERVICE.md`, "Load generator".
 
-use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
-use std::net::SocketAddr;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Display;
+use std::io::{BufRead as _, Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
+use noc_bench::svc::{connect, mix, platform, post_expect, Problem};
+use noc_ctg::TaskGraph;
+use noc_eas::prelude::{apply_edits, apply_platform_edits, repair_from, AppliedEdits, Edit};
+use noc_platform::prelude::Platform;
+use noc_svc::api::{DeltaRequest, DeltaResponse, ScheduleResponse};
 use noc_svc::client::Client;
+use noc_svc::cluster::{Digest, Ring};
 
-/// Schedulers cycled through the request mix — the fast baselines, so
-/// the load exercises the service rather than the EAS search.
+/// Schedulers cycled through the load and cluster mixes — the fast
+/// baselines, so the load exercises the service rather than the EAS
+/// search.
 const SCHEDULERS: [&str; 2] = ["edf", "dls"];
+const SCHEDULE: &str = "/v1/schedule";
+const DELTA: &str = "/v1/schedule/delta";
+/// How long a fill mode waits for its server to accept.
+const FILL_PATIENCE: Duration = Duration::from_secs(10);
+
+/// One run mode: a row of the table above.
+#[derive(Debug)]
+struct Mode {
+    /// The flag that selects it; empty for the load wave.
+    flag: &'static str,
+    /// The flags it reads besides its own and `--timeout-ms`.
+    reads: &'static [&'static str],
+    /// The default artifact path; `None` for the fill modes, which
+    /// write only their state file.
+    artifact: Option<&'static str>,
+    /// The default state file of the fill and verify modes.
+    state: Option<&'static str>,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const FILL_READS: &[&str] = &["--addr", "--jobs", "--seed", "--state"];
+const VERIFY_READS: &[&str] = &["--addr", "--state"];
+
+static MODES: [Mode; 9] = [
+    Mode {
+        flag: "",
+        reads: &[
+            "--addr",
+            "--requests",
+            "--clients",
+            "--graphs",
+            "--seed",
+            "--stats",
+            "--idle-conns",
+        ],
+        artifact: Some("BENCH_service.json"),
+        state: None,
+        run: run_load,
+    },
+    Mode {
+        flag: "--nodes",
+        reads: &["--graphs", "--seed"],
+        artifact: Some("BENCH_cluster.json"),
+        state: None,
+        run: run_cluster,
+    },
+    Mode {
+        flag: "--chaos-net",
+        reads: &["--nodes", "--graphs", "--seed"],
+        artifact: Some("BENCH_partition.json"),
+        state: None,
+        run: run_partition,
+    },
+    Mode {
+        flag: "--chaos",
+        reads: FILL_READS,
+        artifact: None,
+        state: Some("chaos_state.json"),
+        run: run_chaos,
+    },
+    Mode {
+        flag: "--chaos-verify",
+        reads: VERIFY_READS,
+        artifact: Some("BENCH_chaos.json"),
+        state: Some("chaos_state.json"),
+        run: run_chaos_verify,
+    },
+    Mode {
+        flag: "--delta",
+        reads: FILL_READS,
+        artifact: None,
+        state: Some("delta_state.json"),
+        run: run_delta,
+    },
+    Mode {
+        flag: "--delta-verify",
+        reads: &["--addr", "--state", "--expect-store"],
+        artifact: Some("BENCH_delta_svc.json"),
+        state: Some("delta_state.json"),
+        run: run_delta_verify,
+    },
+    Mode {
+        flag: "--store-fill",
+        reads: FILL_READS,
+        artifact: None,
+        state: Some("store_state.json"),
+        run: run_store_fill,
+    },
+    Mode {
+        flag: "--store-verify",
+        reads: VERIFY_READS,
+        artifact: Some("BENCH_store_svc.json"),
+        state: Some("store_state.json"),
+        run: run_store_verify,
+    },
+];
+
+impl Mode {
+    fn name(&self) -> &'static str {
+        if self.flag.is_empty() {
+            "the load wave"
+        } else {
+            self.flag
+        }
+    }
+}
+
+/// Flags that take a value; the other known flags are switches.
+const VALUED: [&str; 11] = [
+    "--addr",
+    "--requests",
+    "--clients",
+    "--graphs",
+    "--seed",
+    "--timeout-ms",
+    "--jobs",
+    "--state",
+    "--nodes",
+    "--chaos-net",
+    "--idle-conns",
+];
+const SWITCHES: [&str; 8] = [
+    "--stats",
+    "--expect-store",
+    "--chaos",
+    "--chaos-verify",
+    "--delta",
+    "--delta-verify",
+    "--store-fill",
+    "--store-verify",
+];
+
+/// One parsed command line.
+#[derive(Debug)]
+struct Args {
+    mode: &'static Mode,
+    addr: SocketAddr,
+    addr_text: String,
+    /// `--nodes`: each node's address as the ring names it, parsed.
+    nodes: Vec<(String, SocketAddr)>,
+    /// `--chaos-net`: one `net_chaos` control address per node.
+    controls: Vec<SocketAddr>,
+    requests: usize,
+    clients: usize,
+    graphs: usize,
+    seed: u64,
+    timeout: Duration,
+    stats: bool,
+    idle_conns: usize,
+    jobs: usize,
+    expect_store: bool,
+    state: String,
+    out: String,
+}
+
+/// Parses the command line. The first mode flag picks the mode
+/// (`--chaos-net` turns `--nodes` into the partition drill), and any
+/// other flag that mode does not read is an error.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut given: Vec<(&str, &str)> = Vec::new();
+    let mut out = None;
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let arg = arg.as_str();
+        if VALUED.contains(&arg) {
+            let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            given.push((arg, value));
+        } else if SWITCHES.contains(&arg) {
+            given.push((arg, ""));
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg}"));
+        } else {
+            out = Some(arg.to_owned());
+        }
+    }
+    let value = |flag: &str| {
+        given
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    };
+
+    let mut mode = given
+        .iter()
+        .find_map(|(flag, _)| MODES.iter().find(|m| m.flag == *flag))
+        .unwrap_or(&MODES[0]);
+    if mode.flag == "--nodes" && value("--chaos-net").is_some() {
+        mode = &MODES[2];
+    }
+    if mode.flag == "--chaos-net" && value("--nodes").is_none() {
+        return Err("--chaos-net requires --nodes".to_owned());
+    }
+    for (flag, _) in &given {
+        if *flag != mode.flag && *flag != "--timeout-ms" && !mode.reads.contains(flag) {
+            return Err(format!("{} does not read {flag}", mode.name()));
+        }
+    }
+    if let (Some(path), None) = (&out, mode.artifact) {
+        return Err(format!("{} writes no artifact (got {path:?})", mode.name()));
+    }
+
+    let addr_text = value("--addr").unwrap_or("127.0.0.1:8533").to_owned();
+    let addr = addr_text
+        .parse()
+        .map_err(|_| format!("bad --addr {addr_text:?}"))?;
+    let nodes = addr_list("--nodes", value("--nodes"))?;
+    if value("--nodes").is_some() && nodes.len() < 2 {
+        return Err("--nodes needs at least two comma-separated addresses".to_owned());
+    }
+    let controls: Vec<SocketAddr> = addr_list("--chaos-net", value("--chaos-net"))?
+        .into_iter()
+        .map(|(_, addr)| addr)
+        .collect();
+    if value("--chaos-net").is_some() && controls.len() != nodes.len() {
+        return Err(format!(
+            "--chaos-net needs one control address per --nodes entry ({} controls for {} nodes)",
+            controls.len(),
+            nodes.len()
+        ));
+    }
+    Ok(Args {
+        mode,
+        addr,
+        addr_text,
+        nodes,
+        controls,
+        requests: number(value("--requests"), 1200)?,
+        clients: number(value("--clients"), 4usize)?.max(1),
+        graphs: number(value("--graphs"), 12usize)?.max(1),
+        seed: number(value("--seed"), 0x5EC)?,
+        timeout: Duration::from_millis(number(value("--timeout-ms"), 60_000u64)?.max(1)),
+        stats: value("--stats").is_some(),
+        idle_conns: number(value("--idle-conns"), 0)?,
+        jobs: number(value("--jobs"), 8usize)?.max(1),
+        expect_store: value("--expect-store").is_some(),
+        state: value("--state")
+            .or(mode.state)
+            .unwrap_or_default()
+            .to_owned(),
+        out: out.or(mode.artifact.map(str::to_owned)).unwrap_or_default(),
+    })
+}
+
+fn number<T: std::str::FromStr>(value: Option<&str>, default: T) -> Result<T, String> {
+    value.map_or(Ok(default), |text| {
+        text.parse()
+            .map_err(|_| format!("invalid numeric value {text:?}"))
+    })
+}
+
+/// A comma-separated address list, each address kept with its text:
+/// cluster nodes name each other by it.
+fn addr_list(flag: &str, text: Option<&str>) -> Result<Vec<(String, SocketAddr)>, String> {
+    text.unwrap_or_default()
+        .split(',')
+        .map(str::trim)
+        .filter(|part| !part.is_empty())
+        .map(|part| {
+            part.parse()
+                .map(|addr| (part.to_owned(), addr))
+                .map_err(|_| format!("bad {flag} address {part:?}"))
+        })
+        .collect()
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    if let Err(e) = (args.mode.run)(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Failures found so far, each printed as it is found.
+#[derive(Default)]
+struct Tally {
+    errors: usize,
+    violations: usize,
+}
+
+impl Tally {
+    fn error(&mut self, message: impl Display) {
+        eprintln!("error: {message}");
+        self.errors += 1;
+    }
+
+    fn violation(&mut self, message: impl Display) {
+        eprintln!("determinism violation: {message}");
+        self.violations += 1;
+    }
+
+    fn verdict(&self) -> Result<(), String> {
+        if self.errors == 0 && self.violations == 0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "run failed ({} errors, {} determinism violations)",
+                self.errors, self.violations
+            ))
+        }
+    }
+}
+
+/// Writes a mode's artifact, then passes when nothing failed.
+fn finish<T: Serialize>(path: &str, report: &T, tally: &Tally) -> Result<(), String> {
+    noc_bench::write_json(path, report)?;
+    println!("Artifact written to {path}");
+    tally.verdict()
+}
+
+/// The server's `/metrics` text; empty when the scrape fails.
+fn metrics(client: &mut Client) -> String {
+    client.get("/metrics").map(|r| r.body).unwrap_or_default()
+}
+
+/// Extracts a single-value counter from Prometheus text.
+fn scrape(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find(|l| l.starts_with(name) && !l.starts_with('#') && !l[name.len()..].starts_with('{'))
+        .and_then(|l| l.split_whitespace().last())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Latency percentile over a sorted sample, in milliseconds.
+fn pct_ms(sorted_us: &[u64], p: f64) -> f64 {
+    if sorted_us.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted_us.len() as f64) * p).ceil() as usize;
+    sorted_us[idx.clamp(1, sorted_us.len()) - 1] as f64 / 1000.0
+}
+
+/// Polls `ready` every `every` until it holds or `patience` runs out.
+fn wait_until(patience: Duration, every: Duration, mut ready: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + patience;
+    loop {
+        if ready() {
+            return true;
+        }
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(every);
+    }
+}
+
+fn healthy(client: &mut Client) -> Result<(), String> {
+    match client.get("/healthz") {
+        Ok(resp) if resp.status == 200 => Ok(()),
+        Ok(resp) => Err(format!("/healthz answered {}", resp.status)),
+        Err(e) => Err(format!("/healthz failed: {e}")),
+    }
+}
 
 /// What one pipeline stage cost over the load wave: the delta of its
 /// `noc_svc_stage_seconds` histogram between the pre- and post-wave
@@ -121,6 +415,7 @@ struct StageDelta {
     mean_ms: f64,
 }
 
+/// The `BENCH_service.json` artifact.
 #[derive(Debug, Serialize)]
 struct ServiceBench {
     addr: String,
@@ -169,249 +464,35 @@ struct WorkerResult {
     sockets_opened: u64,
 }
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut addr_text = "127.0.0.1:8533".to_owned();
-    let mut requests = 1200usize;
-    let mut clients = 4usize;
-    let mut graphs = 12usize;
-    let mut seed = 0x5ECu64;
-    let mut timeout_ms = 60_000u64;
-    let mut stats = false;
-    let mut chaos = false;
-    let mut chaos_verify = false;
-    let mut delta = false;
-    let mut delta_verify = false;
-    let mut store_fill = false;
-    let mut store_verify = false;
-    let mut expect_store = false;
-    let mut jobs = 8usize;
-    let mut state_path = "chaos_state.json".to_owned();
-    let mut nodes_text: Option<String> = None;
-    let mut chaos_net_text: Option<String> = None;
-    let mut idle_conns = 0usize;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag_value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i)
-                .unwrap_or_else(|| {
-                    eprintln!("error: {} needs a value", args[*i - 1]);
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match args[i].as_str() {
-            "--addr" => addr_text = flag_value(&mut i),
-            "--requests" => requests = parse(&flag_value(&mut i)),
-            "--clients" => clients = parse::<usize>(&flag_value(&mut i)).max(1),
-            "--graphs" => graphs = parse::<usize>(&flag_value(&mut i)).max(1),
-            "--seed" => seed = parse(&flag_value(&mut i)),
-            "--timeout-ms" => timeout_ms = parse::<u64>(&flag_value(&mut i)).max(1),
-            "--jobs" => jobs = parse::<usize>(&flag_value(&mut i)).max(1),
-            "--state" => state_path = flag_value(&mut i),
-            "--stats" => stats = true,
-            "--chaos" => chaos = true,
-            "--chaos-verify" => chaos_verify = true,
-            "--delta" => delta = true,
-            "--delta-verify" => delta_verify = true,
-            "--store-fill" => store_fill = true,
-            "--store-verify" => store_verify = true,
-            "--expect-store" => expect_store = true,
-            "--nodes" => nodes_text = Some(flag_value(&mut i)),
-            "--chaos-net" => chaos_net_text = Some(flag_value(&mut i)),
-            "--idle-conns" => idle_conns = parse(&flag_value(&mut i)),
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown flag {flag}");
-                std::process::exit(2);
-            }
-            path => out_path = Some(path.to_owned()),
-        }
-        i += 1;
-    }
-    let addr: SocketAddr = addr_text.parse().unwrap_or_else(|_| {
-        eprintln!("error: bad --addr {addr_text:?}");
-        std::process::exit(2);
-    });
-    let timeout = Duration::from_millis(timeout_ms);
-
-    if [
-        chaos,
-        chaos_verify,
-        delta,
-        delta_verify,
-        store_fill,
-        store_verify,
-    ]
-    .iter()
-    .filter(|&&m| m)
-    .count()
-        > 1
-    {
-        eprintln!(
-            "error: --chaos, --chaos-verify, --delta, --delta-verify, --store-fill and \
-             --store-verify are mutually exclusive"
-        );
-        std::process::exit(2);
-    }
-    if store_fill || store_verify {
-        let state = if state_path == "chaos_state.json" {
-            "store_state.json".to_owned()
-        } else {
-            state_path.clone()
-        };
-        if store_fill {
-            std::process::exit(run_store_fill(addr, seed, jobs, timeout, &state));
-        }
-        let out = out_path.unwrap_or_else(|| "BENCH_store_svc.json".to_owned());
-        std::process::exit(run_store_verify(addr, &addr_text, timeout, &state, &out));
-    }
-    if delta {
-        let state = if state_path == "chaos_state.json" {
-            "delta_state.json".to_owned()
-        } else {
-            state_path.clone()
-        };
-        std::process::exit(run_delta(addr, seed, jobs, timeout, &state));
-    }
-    if delta_verify {
-        let state = if state_path == "chaos_state.json" {
-            "delta_state.json".to_owned()
-        } else {
-            state_path.clone()
-        };
-        let out = out_path.unwrap_or_else(|| "BENCH_delta_svc.json".to_owned());
-        std::process::exit(run_delta_verify(
-            addr,
-            &addr_text,
-            timeout,
-            &state,
-            &out,
-            expect_store,
-        ));
-    }
-    if let Some(nodes_text) = nodes_text {
-        let mut nodes = Vec::new();
-        for part in nodes_text
-            .split(',')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-        {
-            match part.parse::<SocketAddr>() {
-                Ok(node) => nodes.push((part.to_owned(), node)),
-                Err(_) => {
-                    eprintln!("error: bad --nodes address {part:?}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if nodes.len() < 2 {
-            eprintln!("error: --nodes needs at least two comma-separated addresses");
-            std::process::exit(2);
-        }
-        if let Some(ctrl_text) = chaos_net_text {
-            let mut controls = Vec::new();
-            for part in ctrl_text
-                .split(',')
-                .map(str::trim)
-                .filter(|p| !p.is_empty())
-            {
-                match part.parse::<SocketAddr>() {
-                    Ok(ctrl) => controls.push(ctrl),
-                    Err(_) => {
-                        eprintln!("error: bad --chaos-net address {part:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            if controls.len() != nodes.len() {
-                eprintln!(
-                    "error: --chaos-net needs one control address per --nodes entry \
-                     ({} controls for {} nodes)",
-                    controls.len(),
-                    nodes.len()
-                );
-                std::process::exit(2);
-            }
-            let out = out_path.unwrap_or_else(|| "BENCH_partition.json".to_owned());
-            std::process::exit(run_chaos_net(
-                &nodes, &controls, seed, graphs, timeout, &out,
-            ));
-        }
-        let out = out_path.unwrap_or_else(|| "BENCH_cluster.json".to_owned());
-        std::process::exit(run_cluster(&nodes, seed, graphs, timeout, &out));
-    }
-    if chaos_net_text.is_some() {
-        eprintln!("error: --chaos-net requires --nodes");
-        std::process::exit(2);
-    }
-    if chaos {
-        std::process::exit(run_chaos(addr, seed, jobs, timeout, &state_path));
-    }
-    if chaos_verify {
-        let out = out_path.unwrap_or_else(|| "BENCH_chaos.json".to_owned());
-        std::process::exit(run_chaos_verify(
-            addr,
-            &addr_text,
-            timeout,
-            &state_path,
-            &out,
-        ));
-    }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_service.json".to_owned());
-
+/// The load wave: `clients` keep-alive workers share `requests` posts
+/// over the fixed-seed mix, and identical mix indices must answer
+/// identical bytes across every worker.
+fn run_load(args: &Args) -> Result<(), String> {
     // With `--stats` the mix also cycles the full EAS pipeline: it is
     // the instrumented scheduler, so the per-stage histograms this flag
     // exists to measure actually accumulate samples.
-    let mut schedulers: Vec<&str> = SCHEDULERS.to_vec();
-    if stats {
-        schedulers.push("eas");
-    }
+    let schedulers: &[&str] = if args.stats {
+        &["edf", "dls", "eas"]
+    } else {
+        &SCHEDULERS
+    };
+    let (addr, clients, requests, timeout) = (args.addr, args.clients, args.requests, args.timeout);
     println!(
-        "== svc_load: {requests} requests, {clients} clients, {graphs} graphs x \
-         {} schedulers, seed {seed:#x} -> {addr} ==",
-        schedulers.len()
+        "== svc_load: {requests} requests, {clients} clients, {} graphs x {} schedulers, \
+         seed {:#x} -> {addr} ==",
+        args.graphs,
+        schedulers.len(),
+        args.seed
     );
-
-    // A fixed-seed request mix: `graphs` distinct CTGs times the
-    // scheduler list. Identical mix indices must answer identical bytes.
-    let platform = noc_svc::spec::parse_platform("mesh:2x2").expect("platform parses");
-    let mut mix: Vec<String> = Vec::new();
-    for g in 0..graphs {
-        let mut cfg = noc_ctg::prelude::TgffConfig::category_i(seed.wrapping_add(g as u64));
-        cfg.task_count = 10 + (g % 4) * 2;
-        let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-            .generate(&platform)
-            .expect("graph generates");
-        let graph_json = serde_json::to_string(&graph).expect("serializes");
-        for scheduler in &schedulers {
-            mix.push(format!(
-                r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"{scheduler}"}}"#
-            ));
-        }
-    }
-    let mix = Arc::new(mix);
+    let mix = Arc::new(mix(args.seed, args.graphs, 4, schedulers));
 
     // Warm up the connection path (and fail fast if nothing listens).
-    let mut probe = Client::connect_retry(addr, Duration::from_secs(10)).unwrap_or_else(|e| {
-        eprintln!("error: cannot reach {addr}: {e}");
-        std::process::exit(1);
-    });
-    let _ = probe.set_timeout(timeout);
-    let health = probe.get("/healthz").unwrap_or_else(|e| {
-        eprintln!("error: /healthz failed: {e}");
-        std::process::exit(1);
-    });
-    if health.status != 200 {
-        eprintln!("error: /healthz answered {}", health.status);
-        std::process::exit(1);
-    }
+    let mut probe = connect(addr, FILL_PATIENCE, timeout)?;
+    healthy(&mut probe)?;
     // Pre-wave stage baseline, so a warm server's earlier jobs don't
     // pollute this wave's per-stage deltas.
-    let stages_before = if stats {
-        scrape_stages(&probe.get("/metrics").map(|r| r.body).unwrap_or_default())
+    let stages_before = if args.stats {
+        scrape_stages(&metrics(&mut probe))
     } else {
         HashMap::new()
     };
@@ -421,18 +502,14 @@ fn main() {
     // poll entries, not threads — the point of the flag is proving
     // that request latency and byte determinism hold while tens of
     // thousands of idle sockets sit open.
-    let mut idle_pool: Vec<std::net::TcpStream> = Vec::new();
-    if idle_conns > 0 {
-        let opening = Instant::now();
-        for k in 0..idle_conns {
-            match std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(5)) {
-                Ok(conn) => idle_pool.push(conn),
-                Err(e) => {
-                    eprintln!("error: idle connection {k} failed: {e} (raise ulimit -n?)");
-                    std::process::exit(1);
-                }
-            }
-        }
+    let opening = Instant::now();
+    let mut idle_pool = (0..args.idle_conns)
+        .map(|k| {
+            TcpStream::connect_timeout(&addr, Duration::from_secs(5))
+                .map_err(|e| format!("idle connection {k} failed: {e} (raise ulimit -n?)"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if !idle_pool.is_empty() {
         println!(
             "holding {} idle keep-alive connections (opened in {:.2}s)",
             idle_pool.len(),
@@ -455,16 +532,15 @@ fn main() {
 
     // Merge: identical mix indices must have answered identical bytes
     // across *all* workers, not just within one.
-    let mut errors = 0usize;
+    let mut tally = Tally::default();
     let mut retries_429 = 0usize;
-    let mut violations = 0usize;
     let mut sockets_opened = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
     let mut reference: HashMap<usize, String> = HashMap::new();
     for r in results {
-        errors += r.errors;
+        tally.errors += r.errors;
+        tally.violations += r.violations;
         retries_429 += r.retries_429;
-        violations += r.violations;
         sockets_opened += r.sockets_opened;
         latencies.extend(r.latencies_us);
         for (idx, body) in r.bodies {
@@ -473,57 +549,20 @@ fn main() {
                     reference.insert(idx, body);
                 }
                 Some(seen) if *seen == body => {}
-                Some(_) => {
-                    eprintln!("determinism violation: mix index {idx} answered divergent bodies across clients");
-                    violations += 1;
-                }
+                Some(_) => tally.violation(format_args!(
+                    "mix index {idx} answered divergent bodies across clients"
+                )),
             }
         }
     }
     latencies.sort_unstable();
     let done = latencies.len();
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((done as f64) * p).ceil() as usize;
-        latencies[idx.clamp(1, done) - 1] as f64 / 1000.0
-    };
 
     // Cache statistics straight from the server's own metrics.
-    let metrics = probe.get("/metrics").map(|r| r.body).unwrap_or_default();
+    let metrics = metrics(&mut probe);
     let cache_hits = scrape(&metrics, "noc_svc_cache_hits_total");
     let cache_misses = scrape(&metrics, "noc_svc_cache_misses_total");
-    let stage_seconds = stats.then(|| {
-        let after = scrape_stages(&metrics);
-        let mut deltas: Vec<StageDelta> = after
-            .into_iter()
-            .map(|(stage, (count, sum))| {
-                let (count0, sum0) = stages_before.get(&stage).copied().unwrap_or((0, 0.0));
-                let executions = count.saturating_sub(count0);
-                let seconds = (sum - sum0).max(0.0);
-                StageDelta {
-                    stage,
-                    executions,
-                    seconds,
-                    mean_ms: if executions > 0 {
-                        seconds * 1000.0 / executions as f64
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .filter(|d| d.executions > 0)
-            .collect();
-        deltas.sort_by(|a, b| a.stage.cmp(&b.stage));
-        for d in &deltas {
-            println!(
-                "stage {:<12} {:>6} executions, {:>9.3}s total, {:>8.3}ms mean",
-                d.stage, d.executions, d.seconds, d.mean_ms
-            );
-        }
-        deltas
-    });
+    let stage_seconds = args.stats.then(|| stage_deltas(&stages_before, &metrics));
     // Prove a sample of the idle pool is still live keep-alive state,
     // not half-closed sockets the server forgot.
     let mut idle_alive_after = 0usize;
@@ -538,30 +577,28 @@ fn main() {
         }
         println!("idle pool: {idle_alive_after}/{probed} sampled connections still answer");
         if idle_alive_after < probed {
-            eprintln!(
-                "error: {} sampled idle connections died",
-                probed - idle_alive_after
-            );
-            errors += probed - idle_alive_after;
+            let dead = probed - idle_alive_after;
+            eprintln!("error: {dead} sampled idle connections died");
+            tally.errors += dead;
         }
     }
 
     let report = ServiceBench {
-        addr: addr_text,
+        addr: args.addr_text.clone(),
         requests: done,
         clients,
         distinct_problems: mix.len(),
-        errors,
+        errors: tally.errors,
         retries_429,
-        determinism_violations: violations,
+        determinism_violations: tally.violations,
         wall_s,
         throughput_rps: if wall_s > 0.0 {
             done as f64 / wall_s
         } else {
             0.0
         },
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
+        p50_ms: pct_ms(&latencies, 0.50),
+        p99_ms: pct_ms(&latencies, 0.99),
         max_ms: latencies.last().map_or(0.0, |&v| v as f64 / 1000.0),
         cache_hits,
         cache_misses,
@@ -577,7 +614,7 @@ fn main() {
         idle_alive_after,
         stage_seconds,
     };
-    if stats {
+    if args.stats {
         println!(
             "reactor: {} connections open, {} accepted, {} wakeups, {} write stalls",
             scrape(&metrics, "noc_svc_reactor_connections"),
@@ -586,34 +623,18 @@ fn main() {
             scrape(&metrics, "noc_svc_reactor_write_stalls_total"),
         );
     }
-
     println!(
         "{done} requests in {wall_s:.2}s ({:.0} rps) | p50 {:.2}ms p99 {:.2}ms | \
          cache hit rate {:.1}% | {retries_429} backpressure retries | \
-         {errors} errors, {violations} determinism violations",
+         {} errors, {} determinism violations",
         report.throughput_rps,
         report.p50_ms,
         report.p99_ms,
         report.cache_hit_rate * 100.0,
+        tally.errors,
+        tally.violations,
     );
-
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&out_path, json) {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(1);
-            }
-            println!("Artifact written to {out_path}");
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            std::process::exit(1);
-        }
-    }
-    if errors > 0 || violations > 0 {
-        eprintln!("error: load run failed ({errors} errors, {violations} determinism violations)");
-        std::process::exit(1);
-    }
+    finish(&args.out, &report, &tally)
 }
 
 /// One client worker: sends its strided share of the request sequence
@@ -634,20 +655,19 @@ fn run_worker(
         violations: 0,
         sockets_opened: 0,
     };
-    let mut client = match Client::connect_retry(addr, Duration::from_secs(10)) {
+    let mut client = match connect(addr, FILL_PATIENCE, timeout) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("worker {worker}: cannot connect: {e}");
+            eprintln!("worker {worker}: {e}");
             result.errors += 1;
             return result;
         }
     };
-    let _ = client.set_timeout(timeout);
     let mut n = worker;
     while n < requests {
         let idx = n % mix.len();
         let sent = Instant::now();
-        match client.post("/v1/schedule", &mix[idx]) {
+        match client.post(SCHEDULE, &mix[idx]) {
             Ok(resp) => {
                 if resp.status == 429 {
                     // Honest backpressure: honor the server's
@@ -698,7 +718,7 @@ fn run_worker(
 }
 
 /// Sends one keep-alive `/healthz` round trip on a raw idle socket.
-fn idle_probe(conn: &mut std::net::TcpStream) -> bool {
+fn idle_probe(conn: &mut TcpStream) -> bool {
     let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
     if conn
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: noc-svc\r\nContent-Length: 0\r\n\r\n")
@@ -711,6 +731,164 @@ fn idle_probe(conn: &mut std::net::TcpStream) -> bool {
         Ok(n) if n > 0 => buf[..n].starts_with(b"HTTP/1.1 200"),
         _ => false,
     }
+}
+
+/// Extracts the `noc_svc_stage_seconds` histograms from Prometheus
+/// text: stage label → (cumulative count, cumulative sum of seconds).
+fn scrape_stages(metrics: &str) -> HashMap<String, (u64, f64)> {
+    let mut out: HashMap<String, (u64, f64)> = HashMap::new();
+    for line in metrics.lines() {
+        if let Some(rest) = line.strip_prefix("noc_svc_stage_seconds_count{stage=\"") {
+            if let Some((stage, tail)) = rest.split_once("\"}") {
+                if let Ok(v) = tail.trim().parse::<u64>() {
+                    out.entry(stage.to_owned()).or_insert((0, 0.0)).0 = v;
+                }
+            }
+        } else if let Some(rest) = line.strip_prefix("noc_svc_stage_seconds_sum{stage=\"") {
+            if let Some((stage, tail)) = rest.split_once("\"}") {
+                if let Ok(v) = tail.trim().parse::<f64>() {
+                    out.entry(stage.to_owned()).or_insert((0, 0.0)).1 = v;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Per-stage cost between two scrapes, stages that ran only, by name.
+fn stage_deltas(before: &HashMap<String, (u64, f64)>, after: &str) -> Vec<StageDelta> {
+    let mut deltas: Vec<StageDelta> = scrape_stages(after)
+        .into_iter()
+        .filter_map(|(stage, (count, sum))| {
+            let (count0, sum0) = before.get(&stage).copied().unwrap_or((0, 0.0));
+            let executions = count.saturating_sub(count0);
+            let seconds = (sum - sum0).max(0.0);
+            (executions > 0).then(|| StageDelta {
+                stage,
+                executions,
+                seconds,
+                mean_ms: seconds * 1000.0 / executions as f64,
+            })
+        })
+        .collect();
+    deltas.sort_by(|a, b| a.stage.cmp(&b.stage));
+    for d in &deltas {
+        println!(
+            "stage {:<12} {:>6} executions, {:>9.3}s total, {:>8.3}ms mean",
+            d.stage, d.executions, d.seconds, d.mean_ms
+        );
+    }
+    deltas
+}
+
+/// One cluster node: the address the ring knows it by, and a client.
+struct Node {
+    name: String,
+    client: Client,
+}
+
+fn connect_nodes(args: &Args) -> Result<Vec<Node>, String> {
+    args.nodes
+        .iter()
+        .map(|(name, addr)| {
+            let client = connect(*addr, FILL_PATIENCE, args.timeout)?;
+            Ok(Node {
+                name: name.clone(),
+                client,
+            })
+        })
+        .collect()
+}
+
+/// Each node's `/metrics` text.
+fn cluster_metrics(nodes: &mut [Node]) -> Vec<String> {
+    nodes.iter_mut().map(|n| metrics(&mut n.client)).collect()
+}
+
+/// A counter summed over the nodes' scrapes.
+fn sum(texts: &[String], name: &str) -> u64 {
+    texts.iter().map(|text| scrape(text, name)).sum()
+}
+
+/// One verify-round answer: how it was served (`X-Cache`), its trace
+/// id, and its latency.
+struct Sample {
+    us: u64,
+    class: String,
+    trace: Option<String>,
+}
+
+/// Posts each `(problem, node)` pair and records the answer as that
+/// problem's reference bytes; returns how many answered 200.
+fn fill(
+    nodes: &mut [Node],
+    mix: &[String],
+    order: impl Iterator<Item = (usize, usize)>,
+    reference: &mut [Option<String>],
+    tally: &mut Tally,
+) -> usize {
+    let mut answered = 0;
+    for (idx, n) in order {
+        match post_expect(&mut nodes[n].client, SCHEDULE, &mix[idx], 200) {
+            Ok(resp) => {
+                reference[idx] = Some(resp.body);
+                answered += 1;
+            }
+            Err(e) => tally.error(format_args!(
+                "fill: node {} on problem {idx}: {e}",
+                nodes[n].name
+            )),
+        }
+    }
+    answered
+}
+
+/// Posts every filled problem to each node from `first` on and
+/// demands the reference bytes; one sample per 200 answer.
+fn read_round(
+    nodes: &mut [Node],
+    first: usize,
+    mix: &[String],
+    reference: &[Option<String>],
+    phase: &str,
+    tally: &mut Tally,
+) -> Vec<Sample> {
+    let mut samples = Vec::new();
+    for (idx, body) in mix.iter().enumerate() {
+        let Some(expected) = &reference[idx] else {
+            continue;
+        };
+        for node in nodes.iter_mut().skip(first) {
+            let sent = Instant::now();
+            match post_expect(&mut node.client, SCHEDULE, body, 200) {
+                Ok(resp) => {
+                    samples.push(Sample {
+                        us: sent.elapsed().as_micros() as u64,
+                        class: resp.header("x-cache").unwrap_or("miss").to_owned(),
+                        trace: resp.header("x-noc-trace").map(str::to_owned),
+                    });
+                    if resp.body != *expected {
+                        tally.violation(format_args!(
+                            "node {} diverges on problem {idx} ({phase})",
+                            node.name
+                        ));
+                    }
+                }
+                Err(e) => tally.error(format_args!(
+                    "{phase}: node {} on problem {idx}: {e}",
+                    node.name
+                )),
+            }
+        }
+    }
+    samples
+}
+
+/// Sorted latencies of read-round samples.
+fn sorted_us<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> Vec<u64> {
+    let mut us: Vec<u64> = samples.into_iter().map(|s| s.us).collect();
+    us.sort_unstable();
+    us
 }
 
 /// The `BENCH_cluster.json` artifact.
@@ -779,17 +957,14 @@ struct StageCost {
 }
 
 /// Builds the per-class attribution table from the verify round's
-/// `(class, trace id, latency)` samples: percentiles per class, slow
-/// ring membership, and per-stage span costs for a sampled subset of
-/// traces scraped from every node's flight recorder.
-fn attribute_hops(
-    clients: &mut [Client],
-    samples: &[(String, Option<String>, u64)],
-) -> Vec<HopClass> {
+/// samples: percentiles per class, slow ring membership, and
+/// per-stage span costs for a sampled subset of traces scraped from
+/// every node's flight recorder.
+fn attribute_hops(nodes: &mut [Node], samples: &[Sample]) -> Vec<HopClass> {
     // Every trace id any node's slow ring holds.
-    let mut slow_ids: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for c in clients.iter_mut() {
-        if let Ok(resp) = c.get("/v1/internal/slow") {
+    let mut slow_ids: HashSet<String> = HashSet::new();
+    for node in nodes.iter_mut() {
+        if let Ok(resp) = node.client.get("/v1/internal/slow") {
             if resp.status == 200 {
                 if let Ok(dump) = serde_json::from_str::<noc_svc::obs::SlowDump>(&resp.body) {
                     slow_ids.extend(dump.slow.into_iter().map(|s| s.trace));
@@ -797,32 +972,21 @@ fn attribute_hops(
             }
         }
     }
-    let mut by_class: HashMap<String, Vec<(Option<String>, u64)>> = HashMap::new();
-    for (class, trace, us) in samples {
-        by_class
-            .entry(class.clone())
-            .or_default()
-            .push((trace.clone(), *us));
+    let mut by_class: HashMap<&str, Vec<&Sample>> = HashMap::new();
+    for sample in samples {
+        by_class.entry(&sample.class).or_default().push(sample);
     }
     let mut classes: Vec<HopClass> = Vec::new();
     for (class, entries) in by_class {
-        let mut lat: Vec<u64> = entries.iter().map(|(_, us)| *us).collect();
-        lat.sort_unstable();
-        let slow_ring_matched = entries
-            .iter()
-            .filter(|(t, _)| t.as_ref().is_some_and(|t| slow_ids.contains(t)))
-            .count();
+        let lat = sorted_us(entries.iter().copied());
+        let traces: Vec<&String> = entries.iter().filter_map(|s| s.trace.as_ref()).collect();
+        let slow_ring_matched = traces.iter().filter(|t| slow_ids.contains(**t)).count();
         // Per-stage costs over a bounded sample of this class's
         // traces, each reconstructed across every node's recorder.
         let mut stage_sum: HashMap<String, (usize, u64)> = HashMap::new();
-        for (trace, _) in entries
-            .iter()
-            .filter(|(t, _)| t.is_some())
-            .take(TRACE_SAMPLES_PER_CLASS)
-        {
-            let id = trace.as_ref().expect("filtered");
-            for c in clients.iter_mut() {
-                let Ok(resp) = c.get(&format!("/v1/internal/trace/{id}")) else {
+        for id in traces.iter().take(TRACE_SAMPLES_PER_CLASS) {
+            for node in nodes.iter_mut() {
+                let Ok(resp) = node.client.get(&format!("/v1/internal/trace/{id}")) else {
                     continue;
                 };
                 if resp.status != 200 {
@@ -843,16 +1007,12 @@ fn attribute_hops(
             .map(|(stage, (spans, total_us))| StageCost {
                 stage,
                 spans,
-                mean_us: if spans > 0 {
-                    total_us as f64 / spans as f64
-                } else {
-                    0.0
-                },
+                mean_us: total_us as f64 / spans as f64,
             })
             .collect();
         stages.sort_by(|a, b| a.stage.cmp(&b.stage));
         classes.push(HopClass {
-            class,
+            class: class.to_owned(),
             requests: entries.len(),
             p50_ms: pct_ms(&lat, 0.50),
             p99_ms: pct_ms(&lat, 0.99),
@@ -864,184 +1024,73 @@ fn attribute_hops(
     classes
 }
 
-/// The fixed-seed cluster problem mix: `graphs` distinct CTGs times
-/// the fast schedulers, identical across fill/verify/partition runs.
-fn cluster_mix(seed: u64, graphs: usize) -> Vec<String> {
-    let platform = noc_svc::spec::parse_platform("mesh:2x2").expect("platform parses");
-    let mut mix: Vec<String> = Vec::new();
-    for g in 0..graphs {
-        let mut cfg = noc_ctg::prelude::TgffConfig::category_i(seed.wrapping_add(g as u64));
-        cfg.task_count = 10 + (g % 4) * 2;
-        let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-            .generate(&platform)
-            .expect("graph generates");
-        let graph_json = serde_json::to_string(&graph).expect("serializes");
-        for scheduler in &SCHEDULERS {
-            mix.push(format!(
-                r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"{scheduler}"}}"#
-            ));
-        }
-    }
-    mix
-}
-
-/// Latency percentile over a sorted sample, in milliseconds.
-fn pct_ms(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64) * p).ceil() as usize;
-    sorted_us[idx.clamp(1, sorted_us.len()) - 1] as f64 / 1000.0
-}
-
 /// Multi-node driver: fill the cluster through round-robin sprayed
 /// requests, then demand byte-identical answers for every problem
 /// from **every** node, counting peer fills vs. local recomputes.
-fn run_cluster(
-    nodes: &[(String, SocketAddr)],
-    seed: u64,
-    graphs: usize,
-    timeout: Duration,
-    out_path: &str,
-) -> i32 {
+fn run_cluster(args: &Args) -> Result<(), String> {
     println!(
-        "== svc_load --nodes: {} nodes, {graphs} graphs, seed {seed:#x} ==",
-        nodes.len()
+        "== svc_load --nodes: {} nodes, {} graphs, seed {:#x} ==",
+        args.nodes.len(),
+        args.graphs,
+        args.seed
     );
-    let mix = cluster_mix(seed, graphs);
-
-    let mut clients: Vec<Client> = Vec::new();
-    for (name, node) in nodes {
-        match Client::connect_retry(*node, Duration::from_secs(10)) {
-            Ok(mut c) => {
-                let _ = c.set_timeout(timeout);
-                clients.push(c);
-            }
-            Err(e) => {
-                eprintln!("error: cannot reach node {name}: {e}");
-                return 1;
-            }
-        }
-    }
-
-    let scrape_cluster = |clients: &mut Vec<Client>, name: &str| -> u64 {
-        let mut total = 0;
-        for c in clients.iter_mut() {
-            total += scrape(&c.get("/metrics").map(|r| r.body).unwrap_or_default(), name);
-        }
-        total
-    };
-    let computes_before = scrape_cluster(&mut clients, "noc_svc_schedules_executed_total");
+    let mix = mix(args.seed, args.graphs, 4, &SCHEDULERS);
+    let mut nodes = connect_nodes(args)?;
+    let computes_before = sum(
+        &cluster_metrics(&mut nodes),
+        "noc_svc_schedules_executed_total",
+    );
 
     let started = Instant::now();
-    let mut errors = 0usize;
-    let mut violations = 0usize;
-    let mut requests = 0usize;
-
+    let mut tally = Tally::default();
     // Round 1 — fill: each problem goes to one node, round-robin, so
     // ownership and store placement spread across the ring.
     let mut reference: Vec<Option<String>> = vec![None; mix.len()];
-    for (idx, body) in mix.iter().enumerate() {
-        let n = idx % clients.len();
-        match clients[n].post("/v1/schedule", body) {
-            Ok(resp) if resp.status == 200 => {
-                requests += 1;
-                reference[idx] = Some(resp.body);
-            }
-            Ok(resp) => {
-                eprintln!(
-                    "fill: node {} answered {} for problem {idx}: {}",
-                    nodes[n].0, resp.status, resp.body
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("fill: node {} failed on problem {idx}: {e}", nodes[n].0);
-                errors += 1;
-            }
-        }
-    }
-
-    let fills_before = scrape_cluster(&mut clients, "noc_svc_cluster_peer_fill_total");
+    let n = nodes.len();
+    let order = (0..mix.len()).map(|idx| (idx, idx % n));
+    let filled = fill(&mut nodes, &mix, order, &mut reference, &mut tally);
+    let fills_before = sum(
+        &cluster_metrics(&mut nodes),
+        "noc_svc_cluster_peer_fill_total",
+    );
 
     // Round 2 — verify: every node must answer every problem with the
     // fill round's exact bytes, wherever those bytes have to come
     // from (local cache, the owner's store via peer fill, or a
     // replica).
-    let mut verify_us: Vec<u64> = Vec::new();
-    let mut verify_samples: Vec<(String, Option<String>, u64)> = Vec::new();
-    for (idx, body) in mix.iter().enumerate() {
-        let Some(expected) = &reference[idx] else {
-            continue;
-        };
-        for (n, client) in clients.iter_mut().enumerate() {
-            let sent = Instant::now();
-            match client.post("/v1/schedule", body) {
-                Ok(resp) if resp.status == 200 => {
-                    let us = sent.elapsed().as_micros() as u64;
-                    verify_us.push(us);
-                    verify_samples.push((
-                        resp.header("x-cache").unwrap_or("miss").to_owned(),
-                        resp.header("x-noc-trace").map(str::to_owned),
-                        us,
-                    ));
-                    requests += 1;
-                    if resp.body != *expected {
-                        eprintln!(
-                            "determinism violation: node {} diverges on problem {idx}",
-                            nodes[n].0
-                        );
-                        violations += 1;
-                    }
-                }
-                Ok(resp) => {
-                    eprintln!(
-                        "verify: node {} answered {} for problem {idx}",
-                        nodes[n].0, resp.status
-                    );
-                    errors += 1;
-                }
-                Err(e) => {
-                    eprintln!("verify: node {} failed on problem {idx}: {e}", nodes[n].0);
-                    errors += 1;
-                }
-            }
-        }
-    }
+    let samples = read_round(&mut nodes, 0, &mix, &reference, "verify", &mut tally);
     let wall_s = started.elapsed().as_secs_f64();
 
+    let after = cluster_metrics(&mut nodes);
+    let verify_us = sorted_us(&samples);
     let report = ClusterBench {
-        nodes: nodes.iter().map(|(name, _)| name.clone()).collect(),
+        nodes: nodes.iter().map(|n| n.name.clone()).collect(),
         distinct_problems: mix.len(),
-        requests,
-        errors,
-        determinism_violations: violations,
-        peer_fills: scrape_cluster(&mut clients, "noc_svc_cluster_peer_fill_total")
-            .saturating_sub(fills_before),
-        peer_fill_misses: scrape_cluster(&mut clients, "noc_svc_cluster_peer_fill_misses_total"),
-        schedules_executed: scrape_cluster(&mut clients, "noc_svc_schedules_executed_total")
+        requests: filled + samples.len(),
+        errors: tally.errors,
+        determinism_violations: tally.violations,
+        peer_fills: sum(&after, "noc_svc_cluster_peer_fill_total").saturating_sub(fills_before),
+        peer_fill_misses: sum(&after, "noc_svc_cluster_peer_fill_misses_total"),
+        schedules_executed: sum(&after, "noc_svc_schedules_executed_total")
             .saturating_sub(computes_before),
-        lookups_served: scrape_cluster(&mut clients, "noc_svc_cluster_lookups_served_total"),
-        replication_sent: scrape_cluster(&mut clients, "noc_svc_cluster_replication_sent_total"),
-        replication_received: scrape_cluster(
-            &mut clients,
-            "noc_svc_cluster_replication_received_total",
-        ),
-        verify_p50_ms: {
-            verify_us.sort_unstable();
-            pct_ms(&verify_us, 0.50)
-        },
+        lookups_served: sum(&after, "noc_svc_cluster_lookups_served_total"),
+        replication_sent: sum(&after, "noc_svc_cluster_replication_sent_total"),
+        replication_received: sum(&after, "noc_svc_cluster_replication_received_total"),
+        verify_p50_ms: pct_ms(&verify_us, 0.50),
         verify_p99_ms: pct_ms(&verify_us, 0.99),
-        hop_attribution: attribute_hops(&mut clients, &verify_samples),
+        hop_attribution: attribute_hops(&mut nodes, &samples),
         wall_s,
     };
     println!(
-        "{requests} requests across {} nodes in {wall_s:.2}s | {} peer fills, {} computes, \
-         {} lookups served | {errors} errors, {violations} determinism violations",
+        "{} requests across {} nodes in {wall_s:.2}s | {} peer fills, {} computes, \
+         {} lookups served | {} errors, {} determinism violations",
+        report.requests,
         nodes.len(),
         report.peer_fills,
         report.schedules_executed,
         report.lookups_served,
+        tally.errors,
+        tally.violations,
     );
     for class in &report.hop_attribution {
         println!(
@@ -1055,20 +1104,7 @@ fn run_cluster(
             class.stages.len(),
         );
     }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(out_path, json) {
-                eprintln!("error: cannot write {out_path}: {e}");
-                return 1;
-            }
-            println!("Artifact written to {out_path}");
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            return 1;
-        }
-    }
-    i32::from(errors > 0 || violations > 0)
+    finish(&args.out, &report, &tally)
 }
 
 /// The `BENCH_partition.json` artifact — the self-healing gate.
@@ -1115,251 +1151,116 @@ struct PartitionBench {
 /// anti-entropy to restore full owner+successor replication, then
 /// demand a zero-recompute byte-identical full re-read.
 ///
-/// `nodes` must list the *proxy* addresses in ring-identity form —
+/// `--nodes` must list the *proxy* addresses in ring-identity form —
 /// the same strings the nodes were configured with as `--peers` — so
-/// the locally built [`noc_svc::cluster::Ring`] agrees with the
-/// cluster's own ownership. `controls[i]` is node i's proxy control
-/// port.
-fn run_chaos_net(
-    nodes: &[(String, SocketAddr)],
-    controls: &[SocketAddr],
-    seed: u64,
-    graphs: usize,
-    timeout: Duration,
-    out_path: &str,
-) -> i32 {
+/// the locally built [`Ring`] agrees with the cluster's own
+/// ownership. Control address i is node i's proxy.
+fn run_partition(args: &Args) -> Result<(), String> {
+    let names: Vec<String> = args.nodes.iter().map(|(name, _)| name.clone()).collect();
+    let controls = &args.controls;
     println!(
-        "== svc_load --chaos-net: {} nodes, {graphs} graphs, seed {seed:#x}, \
-         partitioning {} ==",
-        nodes.len(),
-        nodes[0].0
+        "== svc_load --chaos-net: {} nodes, {} graphs, seed {:#x}, partitioning {} ==",
+        names.len(),
+        args.graphs,
+        args.seed,
+        names[0]
     );
-    let mix = cluster_mix(seed, graphs);
-    let ring = noc_svc::cluster::Ring::new(nodes.iter().map(|(name, _)| name.clone()).collect());
-
-    let mut clients: Vec<Client> = Vec::new();
-    for (name, node) in nodes {
-        match Client::connect_retry(*node, Duration::from_secs(10)) {
-            Ok(mut c) => {
-                let _ = c.set_timeout(timeout);
-                clients.push(c);
-            }
-            Err(e) => {
-                eprintln!("error: cannot reach node {name}: {e}");
-                return 1;
-            }
-        }
-    }
+    let mix = mix(args.seed, args.graphs, 4, &SCHEDULERS);
+    let ring = Ring::new(names.clone());
+    let mut nodes = connect_nodes(args)?;
     // Make sure every proxy control answers before touching the
     // cluster, so a misconfigured drill fails before the fill wave.
     for (i, ctrl) in controls.iter().enumerate() {
-        if let Err(e) = chaos_ctl(*ctrl, "status") {
-            eprintln!("error: proxy control {i} ({ctrl}) unreachable: {e}");
-            return 1;
-        }
+        chaos_ctl(*ctrl, "status")
+            .map_err(|e| format!("proxy control {i} ({ctrl}) unreachable: {e}"))?;
     }
 
     let started = Instant::now();
-    let mut errors = 0usize;
-    let mut violations = 0usize;
-
+    let mut tally = Tally::default();
+    let n = nodes.len();
     // Phase 1a — fill *half* the mix while the cluster is healthy, so
     // the partition later hits a settled, replicated baseline.
     let mut reference: Vec<Option<String>> = vec![None; mix.len()];
-    let fill = |clients: &mut Vec<Client>,
-                reference: &mut Vec<Option<String>>,
-                errors: &mut usize,
-                idx: usize,
-                n: usize| {
-        match clients[n].post("/v1/schedule", &mix[idx]) {
-            Ok(resp) if resp.status == 200 => reference[idx] = Some(resp.body),
-            Ok(resp) => {
-                eprintln!(
-                    "fill: node {} answered {} for {idx}",
-                    nodes[n].0, resp.status
-                );
-                *errors += 1;
-            }
-            Err(e) => {
-                eprintln!("fill: node {} failed on {idx}: {e}", nodes[n].0);
-                *errors += 1;
-            }
-        }
-    };
-    for idx in (0..mix.len()).step_by(2) {
-        fill(
-            &mut clients,
-            &mut reference,
-            &mut errors,
-            idx,
-            idx % nodes.len(),
-        );
-    }
-    if !await_replication_drained(&mut clients, Duration::from_secs(30)) {
-        eprintln!("error: replication lag did not drain after the healthy fill");
-        errors += 1;
+    let healthy_half = (0..mix.len()).step_by(2).map(|idx| (idx, idx % n));
+    fill(&mut nodes, &mix, healthy_half, &mut reference, &mut tally);
+    if !wait_until(Duration::from_secs(30), Duration::from_millis(100), || {
+        replication_lag(&mut nodes) == 0
+    }) {
+        tally.error("replication lag did not drain after the healthy fill");
     }
     println!(
-        "healthy fill done: {} problems, {errors} errors",
-        mix.len().div_ceil(2)
+        "healthy fill done: {} problems, {} errors",
+        mix.len().div_ceil(2),
+        tally.errors
     );
 
     // Phase 1b — partition node 0, then fill the other half through
     // the survivors: every record owned by node 0 now exists only on
     // the survivor side, the debt anti-entropy must later repay.
-    if let Err(e) = chaos_ctl(controls[0], "deny on") {
-        eprintln!("error: cannot partition {}: {e}", nodes[0].0);
-        return 1;
-    }
-    for idx in (1..mix.len()).step_by(2) {
-        let survivor = 1 + idx % (nodes.len() - 1);
-        fill(&mut clients, &mut reference, &mut errors, idx, survivor);
-    }
-    println!("mid-partition fill done: {errors} errors total");
-    let mut partition_us: Vec<u64> = Vec::new();
-    for (idx, body) in mix.iter().enumerate() {
-        let Some(expected) = &reference[idx] else {
-            continue;
-        };
-        for (n, client) in clients.iter_mut().enumerate().skip(1) {
-            let sent = Instant::now();
-            match client.post("/v1/schedule", body) {
-                Ok(resp) if resp.status == 200 => {
-                    partition_us.push(sent.elapsed().as_micros() as u64);
-                    if resp.body != *expected {
-                        eprintln!(
-                            "determinism violation: node {} diverges on {idx} mid-partition",
-                            nodes[n].0
-                        );
-                        violations += 1;
-                    }
-                }
-                Ok(resp) => {
-                    eprintln!(
-                        "partition: node {} answered {} for {idx}",
-                        nodes[n].0, resp.status
-                    );
-                    errors += 1;
-                }
-                Err(e) => {
-                    eprintln!("partition: node {} failed on {idx}: {e}", nodes[n].0);
-                    errors += 1;
-                }
-            }
-        }
-    }
-    partition_us.sort_unstable();
+    chaos_ctl(controls[0], "deny on").map_err(|e| format!("cannot partition {}: {e}", names[0]))?;
+    let survivor_half = (1..mix.len())
+        .step_by(2)
+        .map(|idx| (idx, 1 + idx % (n - 1)));
+    fill(&mut nodes, &mix, survivor_half, &mut reference, &mut tally);
+    println!("mid-partition fill done: {} errors total", tally.errors);
+    let samples = read_round(&mut nodes, 1, &mix, &reference, "mid-partition", &mut tally);
+    let partition_us = sorted_us(&samples);
     let partition_p50_ms = pct_ms(&partition_us, 0.50);
     let partition_p99_ms = pct_ms(&partition_us, 0.99);
     println!(
         "partition reads done: p50 {partition_p50_ms:.2}ms p99 {partition_p99_ms:.2}ms, \
-         {errors} errors, {violations} violations"
+         {} errors, {} violations",
+        tally.errors, tally.violations
     );
 
     // Phase 3 — heal and wait for anti-entropy convergence: every
     // record present in the digest of its owner *and* successor, and
     // all retry queues drained.
-    if let Err(e) = chaos_ctl(controls[0], "deny off") {
-        eprintln!("error: cannot heal {}: {e}", nodes[0].0);
-        return 1;
-    }
+    chaos_ctl(controls[0], "deny off").map_err(|e| format!("cannot heal {}: {e}", names[0]))?;
     let healed = Instant::now();
-    let deadline = healed + Duration::from_secs(90);
-    let mut fully_replicated = false;
-    while Instant::now() < deadline {
-        if replication_converged(&mut clients, nodes, &ring)
-            && await_replication_drained(&mut clients, Duration::from_millis(1))
-        {
-            fully_replicated = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(250));
-    }
+    let fully_replicated = wait_until(Duration::from_secs(90), Duration::from_millis(250), || {
+        replication_converged(&mut nodes, &ring) && replication_lag(&mut nodes) == 0
+    });
     let converge_s = healed.elapsed().as_secs_f64();
     if fully_replicated {
         println!("anti-entropy converged {converge_s:.1}s after heal");
     } else {
-        eprintln!("error: cluster did not converge within 90s of healing");
-        errors += 1;
+        tally.error("cluster did not converge within 90s of healing");
     }
 
     // Phase 4 — the zero-recompute gate: with replication healed,
     // every node answers every problem byte-identically without a
     // single schedule execution anywhere.
-    let scrape_cluster = |clients: &mut Vec<Client>, name: &str| -> u64 {
-        let mut total = 0;
-        for c in clients.iter_mut() {
-            total += scrape(&c.get("/metrics").map(|r| r.body).unwrap_or_default(), name);
-        }
-        total
-    };
-    let computes_before = scrape_cluster(&mut clients, "noc_svc_schedules_executed_total");
-    for (idx, body) in mix.iter().enumerate() {
-        let Some(expected) = &reference[idx] else {
-            continue;
-        };
-        for (n, client) in clients.iter_mut().enumerate() {
-            match client.post("/v1/schedule", body) {
-                Ok(resp) if resp.status == 200 => {
-                    if resp.body != *expected {
-                        eprintln!(
-                            "determinism violation: node {} diverges on {idx} after heal",
-                            nodes[n].0
-                        );
-                        violations += 1;
-                    }
-                }
-                Ok(resp) => {
-                    eprintln!(
-                        "re-read: node {} answered {} for {idx}",
-                        nodes[n].0, resp.status
-                    );
-                    errors += 1;
-                }
-                Err(e) => {
-                    eprintln!("re-read: node {} failed on {idx}: {e}", nodes[n].0);
-                    errors += 1;
-                }
-            }
-        }
-    }
-    let recomputes_after_heal = scrape_cluster(&mut clients, "noc_svc_schedules_executed_total")
-        .saturating_sub(computes_before);
+    let executed = "noc_svc_schedules_executed_total";
+    let computes_before = sum(&cluster_metrics(&mut nodes), executed);
+    read_round(&mut nodes, 0, &mix, &reference, "post-heal", &mut tally);
+    let after = cluster_metrics(&mut nodes);
+    let recomputes_after_heal = sum(&after, executed).saturating_sub(computes_before);
     if recomputes_after_heal > 0 {
-        eprintln!(
-            "error: {recomputes_after_heal} schedules recomputed on the post-heal re-read \
+        tally.error(format_args!(
+            "{recomputes_after_heal} schedules recomputed on the post-heal re-read \
              (want 0 — replication should already hold every record)"
-        );
-        errors += 1;
+        ));
     }
 
     let report = PartitionBench {
-        nodes: nodes.iter().map(|(name, _)| name.clone()).collect(),
-        partitioned_node: nodes[0].0.clone(),
+        partitioned_node: names[0].clone(),
+        nodes: names,
         distinct_problems: mix.len(),
-        errors,
-        determinism_violations: violations,
+        errors: tally.errors,
+        determinism_violations: tally.violations,
         partition_p50_ms,
         partition_p99_ms,
-        peer_fill_skips: scrape_cluster(&mut clients, "noc_svc_cluster_peer_fill_skips_total"),
-        probes: scrape_cluster(&mut clients, "noc_svc_cluster_probes_total"),
-        peer_recoveries: scrape_cluster(&mut clients, "noc_svc_cluster_peer_recoveries_total"),
-        replication_delivery_failures: scrape_cluster(
-            &mut clients,
+        peer_fill_skips: sum(&after, "noc_svc_cluster_peer_fill_skips_total"),
+        probes: sum(&after, "noc_svc_cluster_probes_total"),
+        peer_recoveries: sum(&after, "noc_svc_cluster_peer_recoveries_total"),
+        replication_delivery_failures: sum(
+            &after,
             "noc_svc_cluster_replication_delivery_failures_total",
         ),
-        replication_overflow: scrape_cluster(
-            &mut clients,
-            "noc_svc_cluster_replication_overflow_total",
-        ),
-        anti_entropy_rounds: scrape_cluster(
-            &mut clients,
-            "noc_svc_cluster_anti_entropy_rounds_total",
-        ),
-        anti_entropy_repairs: scrape_cluster(
-            &mut clients,
-            "noc_svc_cluster_anti_entropy_repairs_total",
-        ),
+        replication_overflow: sum(&after, "noc_svc_cluster_replication_overflow_total"),
+        anti_entropy_rounds: sum(&after, "noc_svc_cluster_anti_entropy_rounds_total"),
+        anti_entropy_repairs: sum(&after, "noc_svc_cluster_anti_entropy_repairs_total"),
         converge_s,
         fully_replicated,
         recomputes_after_heal,
@@ -1368,31 +1269,22 @@ fn run_chaos_net(
     println!(
         "partition drill: p99 {partition_p99_ms:.2}ms under partition | {} skips, {} probes, \
          {} recoveries | {} anti-entropy repairs | converged in {converge_s:.1}s | \
-         {recomputes_after_heal} post-heal recomputes | {errors} errors, {violations} violations",
-        report.peer_fill_skips, report.probes, report.peer_recoveries, report.anti_entropy_repairs,
+         {recomputes_after_heal} post-heal recomputes | {} errors, {} violations",
+        report.peer_fill_skips,
+        report.probes,
+        report.peer_recoveries,
+        report.anti_entropy_repairs,
+        tally.errors,
+        tally.violations,
     );
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(out_path, json) {
-                eprintln!("error: cannot write {out_path}: {e}");
-                return 1;
-            }
-            println!("Artifact written to {out_path}");
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            return 1;
-        }
-    }
-    i32::from(errors > 0 || violations > 0 || !fully_replicated || recomputes_after_heal > 0)
+    finish(&args.out, &report, &tally)
 }
 
 /// Sends one command line to a `net_chaos` control port and returns
 /// its reply, failing on anything but an `ok` answer.
 fn chaos_ctl(ctrl: SocketAddr, command: &str) -> Result<String, String> {
-    use std::io::BufRead as _;
-    let conn = std::net::TcpStream::connect_timeout(&ctrl, Duration::from_secs(5))
-        .map_err(|e| e.to_string())?;
+    let conn =
+        TcpStream::connect_timeout(&ctrl, Duration::from_secs(5)).map_err(|e| e.to_string())?;
     let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
     let mut writer = conn.try_clone().map_err(|e| e.to_string())?;
     writer
@@ -1411,79 +1303,173 @@ fn chaos_ctl(ctrl: SocketAddr, command: &str) -> Result<String, String> {
     }
 }
 
-/// Polls every node until the summed replication retry backlog
-/// (`noc_svc_cluster_replication_lag`) reaches zero.
-fn await_replication_drained(clients: &mut [Client], patience: Duration) -> bool {
-    let deadline = Instant::now() + patience;
-    loop {
-        let mut lag = 0u64;
-        for c in clients.iter_mut() {
-            lag += scrape(
-                &c.get("/metrics").map(|r| r.body).unwrap_or_default(),
-                "noc_svc_cluster_replication_lag",
-            );
-        }
-        if lag == 0 {
-            return true;
-        }
-        if Instant::now() > deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
+/// The summed replication retry backlog
+/// (`noc_svc_cluster_replication_lag`) across the nodes.
+fn replication_lag(nodes: &mut [Node]) -> u64 {
+    sum(&cluster_metrics(nodes), "noc_svc_cluster_replication_lag")
 }
 
 /// Checks full owner+successor replication: every record id reported
 /// by *any* node's digest must be present in the digests of both
 /// nodes on its ring owner chain.
-fn replication_converged(
-    clients: &mut [Client],
-    nodes: &[(String, SocketAddr)],
-    ring: &noc_svc::cluster::Ring,
-) -> bool {
-    let mut digests: HashMap<String, std::collections::HashSet<String>> = HashMap::new();
-    for (n, client) in clients.iter_mut().enumerate() {
-        match client.get("/v1/internal/digest") {
-            Ok(resp) if resp.status == 200 => {
-                match serde_json::from_str::<noc_svc::cluster::Digest>(&resp.body) {
-                    Ok(digest) => {
-                        digests.insert(nodes[n].0.clone(), digest.ids.into_iter().collect());
-                    }
-                    Err(_) => return false,
-                }
-            }
-            _ => return false,
-        }
+fn replication_converged(nodes: &mut [Node], ring: &Ring) -> bool {
+    let mut digests: HashMap<String, HashSet<String>> = HashMap::new();
+    for node in nodes.iter_mut() {
+        let digest = match node.client.get("/v1/internal/digest") {
+            Ok(resp) if resp.status == 200 => serde_json::from_str::<Digest>(&resp.body).ok(),
+            _ => None,
+        };
+        let Some(digest) = digest else {
+            return false;
+        };
+        digests.insert(node.name.clone(), digest.ids.into_iter().collect());
     }
-    let all_ids: Vec<String> = digests
-        .values()
-        .flat_map(|ids| ids.iter().cloned())
-        .collect();
-    all_ids.iter().all(|id| {
+    digests.values().flatten().all(|id| {
         ring.owner_chain(id, 2)
             .iter()
             .all(|node| digests.get(*node).is_some_and(|ids| ids.contains(id)))
     })
 }
 
-/// One async job recorded by the chaos phase for the verify phase.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct ChaosJob {
-    /// Job id the server answered with (202 body).
+/// One request a fill mode recorded for its verify mode.
+#[derive(Debug, Serialize, Deserialize)]
+struct Job {
+    /// The id the server answered with: the async job's id, or a
+    /// synchronous answer's `X-Request-Hash`.
     id: String,
-    /// Scheduler the job names.
-    scheduler: String,
-    /// The exact request body submitted.
+    /// The exact request body posted.
     body: String,
-    /// Locally computed response bytes the finished job must match.
+    /// The response bytes the job must answer, computed locally or
+    /// recorded from a durable answer.
     expected: String,
 }
 
-/// The chaos → verify handoff file.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct ChaosState {
+/// The fill → verify handoff file.
+#[derive(Debug, Serialize, Deserialize)]
+struct State {
     seed: u64,
-    jobs: Vec<ChaosJob>,
+    jobs: Vec<Job>,
+}
+
+/// `body` submitted as an async job.
+fn async_body(body: &str) -> String {
+    format!("{},\"mode\":\"async\"}}", &body[..body.len() - 1])
+}
+
+/// Posts `body` as an async job and returns the id its 202 names.
+fn submit(client: &mut Client, path: &str, body: &str) -> Result<String, String> {
+    let resp = post_expect(client, path, body, 202)?;
+    serde_json::from_str::<serde_json::Value>(&resp.body)
+        .ok()
+        .and_then(|v| Some(v.as_object()?.get("id")?.as_str()?.to_owned()))
+        .ok_or_else(|| format!("202 body has no id: {}", resp.body))
+}
+
+/// Writes a fill mode's handoff file; the fill passes when it
+/// recorded jobs and found no error.
+fn save_state(args: &Args, jobs: Vec<Job>, tally: &Tally) -> Result<(), String> {
+    let recorded = jobs.len();
+    let state = State {
+        seed: args.seed,
+        jobs,
+    };
+    noc_bench::write_json(&args.state, &state)?;
+    println!(
+        "{recorded} jobs recorded; state -> {}; {} errors",
+        args.state, tally.errors
+    );
+    if recorded == 0 {
+        return Err("no job was recorded".to_owned());
+    }
+    tally.verdict()
+}
+
+/// Loads the fill mode's handoff file and connects to the restarted
+/// server, giving it time to replay its journal first.
+fn resume(args: &Args) -> Result<(State, Client), String> {
+    let state: State = std::fs::read_to_string(&args.state)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
+        .map_err(|e| format!("cannot load {}: {e}", args.state))?;
+    let client = connect(args.addr, Duration::from_secs(30), args.timeout)?;
+    println!(
+        "== svc_load {}: {} jobs from {} -> {} ==",
+        args.mode.flag,
+        state.jobs.len(),
+        args.state,
+        args.addr
+    );
+    Ok((state, client))
+}
+
+/// What replaying recorded async jobs on a restarted server showed.
+#[derive(Default)]
+struct Recovery {
+    recovered: usize,
+    byte_identical: usize,
+    repost_identical: usize,
+    journal_replayed: u64,
+}
+
+/// Polls every recorded job until the restarted server finishes it
+/// and demands the recorded bytes, re-posts its body to `path`
+/// expecting them again, and demands that the journal was replayed.
+fn verify_jobs(client: &mut Client, jobs: &[Job], path: &str, tally: &mut Tally) -> Recovery {
+    let mut recovery = Recovery::default();
+    // Generous patience: the restarted server replays the journal and
+    // re-runs every unfinished job before the answers converge.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for job in jobs {
+        let poll = format!("/v1/jobs/{}", job.id);
+        let finished = loop {
+            match client.get(&poll) {
+                Ok(resp)
+                    if resp.body.contains("\"status\":\"queued\"")
+                        || resp.body.contains("\"status\":\"running\"") =>
+                {
+                    if Instant::now() > deadline {
+                        break Err("still pending at deadline".to_owned());
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                Ok(resp) if resp.status == 200 => break Ok(resp.body),
+                Ok(resp) => break Err(format!("answered {}: {}", resp.status, resp.body)),
+                Err(e) => break Err(format!("poll failed: {e}")),
+            }
+        };
+        let want = format!(
+            "{{\"id\":\"{}\",\"status\":\"done\",\"result\":{}}}",
+            job.id, job.expected
+        );
+        match finished {
+            Ok(body) => {
+                recovery.recovered += 1;
+                if body == want {
+                    recovery.byte_identical += 1;
+                } else {
+                    tally.error(format_args!(
+                        "job {} diverged after recovery:\n  want {want}\n  got  {body}",
+                        job.id
+                    ));
+                }
+            }
+            Err(e) => tally.error(format_args!("job {} {e}", job.id)),
+        }
+        // The recovered result must also serve the original request.
+        match post_expect(client, path, &job.body, 200) {
+            Ok(resp) if resp.body == job.expected => recovery.repost_identical += 1,
+            Ok(_) => tally.error(format_args!(
+                "re-post of job {} answered divergent bytes",
+                job.id
+            )),
+            Err(e) => tally.error(format_args!("re-post of job {}: {e}", job.id)),
+        }
+    }
+    recovery.journal_replayed = scrape(&metrics(client), "noc_svc_journal_replayed_total");
+    if recovery.journal_replayed == 0 {
+        tally.error("noc_svc_journal_replayed_total is 0 — the restart never replayed");
+    }
+    recovery
 }
 
 /// The `BENCH_chaos.json` artifact.
@@ -1502,88 +1488,51 @@ struct ChaosBench {
 
 /// Chaos phase: panic-injection probes, mid-request connection kills,
 /// then a wave of journaled async jobs whose expected bytes are
-/// computed locally. Returns the process exit code.
-fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_path: &str) -> i32 {
-    let mut errors = 0usize;
-    let mut client = match Client::connect_retry(addr, Duration::from_secs(10)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot reach {addr}: {e}");
-            return 1;
-        }
-    };
-    let _ = client.set_timeout(timeout);
-    println!("== svc_load --chaos: {jobs} async jobs, seed {seed:#x} -> {addr} ==");
-
-    let platform = noc_svc::spec::parse_platform("mesh:2x2").expect("platform parses");
+/// computed locally.
+fn run_chaos(args: &Args) -> Result<(), String> {
+    let mut client = connect(args.addr, FILL_PATIENCE, args.timeout)?;
+    println!(
+        "== svc_load --chaos: {} async jobs, seed {:#x} -> {} ==",
+        args.jobs, args.seed, args.addr
+    );
+    let mut tally = Tally::default();
 
     // 1. Panic isolation: a `chaos-panic` request must die alone — a
     //    typed 500 for that request, business as usual for the next.
     for probe in 0..2u64 {
-        let mut cfg =
-            noc_ctg::prelude::TgffConfig::category_i(seed.wrapping_add(0x9A9C).wrapping_add(probe));
-        cfg.task_count = 8;
-        let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-            .generate(&platform)
-            .expect("graph generates");
-        let graph_json = serde_json::to_string(&graph).expect("serializes");
-        let body =
-            format!(r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"chaos-panic"}}"#);
-        match client.post("/v1/schedule", &body) {
+        let problem = Problem::new(args.seed.wrapping_add(0x9A9C).wrapping_add(probe), 8);
+        match client.post(SCHEDULE, &problem.body("chaos-panic")) {
             Ok(resp) if resp.status == 500 && resp.body.contains("panic") => {}
-            Ok(resp) => {
-                eprintln!(
-                    "error: chaos-panic probe {probe} answered {} (want isolated 500): {}",
-                    resp.status, resp.body
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: chaos-panic probe {probe} transport failure: {e}");
-                errors += 1;
-            }
+            Ok(resp) => tally.error(format_args!(
+                "chaos-panic probe {probe} answered {} (want isolated 500): {}",
+                resp.status, resp.body
+            )),
+            Err(e) => tally.error(format_args!(
+                "chaos-panic probe {probe} transport failure: {e}"
+            )),
         }
         // The same connection must keep working after the panic.
-        let healthy =
-            format!(r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"edf"}}"#);
-        match client.post("/v1/schedule", &healthy) {
-            Ok(resp) if resp.status == 200 => {}
-            Ok(resp) => {
-                eprintln!("error: post-panic request answered {}", resp.status);
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: post-panic request failed: {e}");
-                errors += 1;
-            }
+        if let Err(e) = post_expect(&mut client, SCHEDULE, &problem.body("edf"), 200) {
+            tally.error(format_args!("post-panic request {e}"));
         }
     }
-    println!("panic isolation probes done ({errors} errors so far)");
+    println!(
+        "panic isolation probes done ({} errors so far)",
+        tally.errors
+    );
 
     // 2. Mid-flight kills: open a connection, send a torn request head
     //    that promises a body which never arrives, and hang up.
     for _ in 0..3 {
-        if let Ok(mut raw) = std::net::TcpStream::connect(addr) {
+        if let Ok(mut raw) = TcpStream::connect(args.addr) {
             let torn = "POST /v1/schedule HTTP/1.1\r\nHost: chaos\r\n\
                         Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"graph\":";
             let _ = raw.write_all(torn.as_bytes());
             let _ = raw.flush();
-            drop(raw);
         }
     }
-    match client.get("/healthz") {
-        Ok(resp) if resp.status == 200 => {}
-        Ok(resp) => {
-            eprintln!(
-                "error: /healthz answered {} after torn requests",
-                resp.status
-            );
-            errors += 1;
-        }
-        Err(e) => {
-            eprintln!("error: /healthz failed after torn requests: {e}");
-            errors += 1;
-        }
+    if let Err(e) = healthy(&mut client) {
+        tally.error(format_args!("{e} after torn requests"));
     }
 
     // 3. Journaled async wave: fresh seeds (disjoint from the normal
@@ -1591,11 +1540,9 @@ fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
     //    with the expected bytes computed locally — schedules are
     //    byte-deterministic, so the restarted server must reproduce
     //    them exactly.
-    let mut state = ChaosState {
-        seed,
-        jobs: Vec::new(),
-    };
-    for j in 0..jobs {
+    let platform = platform();
+    let mut jobs = Vec::new();
+    for j in 0..args.jobs {
         // The first job is deliberately heavy (annealing a larger
         // graph): against a `--sched-workers 1` server it pins the
         // worker, so the rest of the wave is still accepted-but-
@@ -1606,253 +1553,58 @@ fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
         } else {
             ["edf", "dls", "eas"][j % 3]
         };
-        let mut cfg = noc_ctg::prelude::TgffConfig::category_i(
-            seed.wrapping_add(0xC4A0).wrapping_add(j as u64),
-        );
-        cfg.task_count = if j == 0 { 96 } else { 12 + (j % 3) * 4 };
-        let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-            .generate(&platform)
-            .expect("graph generates");
-        let graph_json = serde_json::to_string(&graph).expect("serializes");
-        let expected = match noc_svc::spec::parse_scheduler(scheduler, 1) {
-            Ok(s) => match s.schedule(&graph, &platform) {
-                Ok(outcome) => {
-                    noc_svc::api::ScheduleResponse::from_outcome(scheduler, &outcome).to_json()
-                }
-                Err(e) => {
-                    eprintln!("error: local {scheduler} schedule for job {j} failed: {e}");
-                    errors += 1;
-                    continue;
-                }
-            },
+        let tasks = if j == 0 { 96 } else { 12 + (j % 3) * 4 };
+        let problem = Problem::new(args.seed.wrapping_add(0xC4A0).wrapping_add(j as u64), tasks);
+        let expected = match noc_svc::spec::parse_scheduler(scheduler, 1).and_then(|s| {
+            s.schedule(&problem.graph, &platform)
+                .map_err(|e| e.to_string())
+        }) {
+            Ok(outcome) => ScheduleResponse::from_outcome(scheduler, &outcome).to_json(),
             Err(e) => {
-                eprintln!("error: {e}");
-                errors += 1;
+                tally.error(format_args!("local {scheduler} schedule for job {j}: {e}"));
                 continue;
             }
         };
-        let body = format!(
-            r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"{scheduler}","mode":"async"}}"#
-        );
-        match client.post("/v1/schedule", &body) {
-            Ok(resp) if resp.status == 202 => {
-                let id = serde_json::from_str::<serde_json::Value>(&resp.body)
-                    .ok()
-                    .and_then(|v| {
-                        v.as_object()
-                            .and_then(|m| m.get("id"))
-                            .and_then(|id| id.as_str().map(str::to_owned))
-                    });
-                match id {
-                    Some(id) => state.jobs.push(ChaosJob {
-                        id,
-                        scheduler: scheduler.to_owned(),
-                        body,
-                        expected,
-                    }),
-                    None => {
-                        eprintln!("error: 202 body has no id: {}", resp.body);
-                        errors += 1;
-                    }
-                }
-            }
-            Ok(resp) => {
-                eprintln!(
-                    "error: async job {j} answered {} (want 202): {}",
-                    resp.status, resp.body
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: async job {j} failed: {e}");
-                errors += 1;
-            }
+        let body = async_body(&problem.body(scheduler));
+        match submit(&mut client, SCHEDULE, &body) {
+            Ok(id) => jobs.push(Job { id, body, expected }),
+            Err(e) => tally.error(format_args!("async job {j} {e}")),
         }
     }
-
-    match serde_json::to_string_pretty(&state) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(state_path, json) {
-                eprintln!("error: cannot write {state_path}: {e}");
-                return 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize state: {e}");
-            return 1;
-        }
-    }
-    println!(
-        "{} async jobs accepted and journaled; state -> {state_path}; {errors} errors",
-        state.jobs.len()
-    );
-    i32::from(errors > 0 || state.jobs.is_empty())
+    save_state(args, jobs, &tally)
 }
 
 /// Verify phase, run against the restarted server: every job recorded
 /// by the chaos phase must finish with exactly the locally computed
 /// bytes, a re-post of each body must hit the recovered result, and the
 /// journal-replay counter must prove the recovery actually happened.
-/// Returns the process exit code.
-fn run_chaos_verify(
-    addr: SocketAddr,
-    addr_text: &str,
-    timeout: Duration,
-    state_path: &str,
-    out_path: &str,
-) -> i32 {
-    let state: ChaosState = match std::fs::read_to_string(state_path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
-    {
-        Ok(state) => state,
-        Err(e) => {
-            eprintln!("error: cannot load {state_path}: {e}");
-            return 1;
-        }
-    };
+fn run_chaos_verify(args: &Args) -> Result<(), String> {
     let started = Instant::now();
-    let mut errors = 0usize;
-    let mut recovered = 0usize;
-    let mut byte_identical = 0usize;
-    let mut repost_identical = 0usize;
-    // Generous patience: the restarted server replays the journal and
-    // re-runs every unfinished job before the answers converge.
-    let mut client = match Client::connect_retry(addr, Duration::from_secs(30)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot reach restarted server {addr}: {e}");
-            return 1;
-        }
-    };
-    let _ = client.set_timeout(timeout);
-    println!(
-        "== svc_load --chaos-verify: {} jobs from {state_path} -> {addr} ==",
-        state.jobs.len()
-    );
-
-    let deadline = Instant::now() + Duration::from_secs(120);
-    for job in &state.jobs {
-        let path = format!("/v1/jobs/{}", job.id);
-        let outcome = loop {
-            match client.get(&path) {
-                Ok(resp)
-                    if resp.body.contains("\"status\":\"queued\"")
-                        || resp.body.contains("\"status\":\"running\"") =>
-                {
-                    if Instant::now() > deadline {
-                        break Err(format!("job {} still pending at deadline", job.id));
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                Ok(resp) if resp.status == 200 => break Ok(resp.body),
-                Ok(resp) => {
-                    break Err(format!(
-                        "job {} answered {}: {}",
-                        job.id, resp.status, resp.body
-                    ))
-                }
-                Err(e) => break Err(format!("job {} poll failed: {e}", job.id)),
-            }
-        };
-        match outcome {
-            Ok(body) => {
-                recovered += 1;
-                let expected = format!(
-                    "{{\"id\":\"{}\",\"status\":\"done\",\"result\":{}}}",
-                    job.id, job.expected
-                );
-                if body == expected {
-                    byte_identical += 1;
-                } else {
-                    eprintln!(
-                        "error: job {} ({}) diverged after recovery:\n  want {expected}\n  got  {body}",
-                        job.id, job.scheduler
-                    );
-                    errors += 1;
-                }
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                errors += 1;
-            }
-        }
-        // The recovered result must also serve the original request.
-        match client.post("/v1/schedule", &job.body) {
-            Ok(resp) if resp.status == 200 && resp.body == job.expected => repost_identical += 1,
-            Ok(resp) => {
-                eprintln!(
-                    "error: re-post of job {} answered {} with divergent bytes",
-                    job.id, resp.status
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: re-post of job {} failed: {e}", job.id);
-                errors += 1;
-            }
-        }
-    }
-
-    let metrics = client.get("/metrics").map(|r| r.body).unwrap_or_default();
-    let journal_replayed = scrape(&metrics, "noc_svc_journal_replayed_total");
-    if journal_replayed == 0 {
-        eprintln!("error: noc_svc_journal_replayed_total is 0 — the restart never replayed");
-        errors += 1;
-    }
+    let (state, mut client) = resume(args)?;
+    let mut tally = Tally::default();
+    let recovery = verify_jobs(&mut client, &state.jobs, SCHEDULE, &mut tally);
     let report = ChaosBench {
-        addr: addr_text.to_owned(),
+        addr: args.addr_text.clone(),
         jobs: state.jobs.len(),
-        recovered,
-        byte_identical,
-        repost_identical,
-        journal_replayed,
-        worker_panics: scrape(&metrics, "noc_svc_worker_panics_total"),
-        errors,
+        recovered: recovery.recovered,
+        byte_identical: recovery.byte_identical,
+        repost_identical: recovery.repost_identical,
+        journal_replayed: recovery.journal_replayed,
+        worker_panics: scrape(&metrics(&mut client), "noc_svc_worker_panics_total"),
+        errors: tally.errors,
         wall_s: started.elapsed().as_secs_f64(),
     };
     println!(
-        "{recovered}/{} jobs recovered, {byte_identical} byte-identical, \
-         {repost_identical} re-posts identical, {journal_replayed} journal records replayed, \
-         {errors} errors",
-        report.jobs
+        "{}/{} jobs recovered, {} byte-identical, {} re-posts identical, \
+         {} journal records replayed, {} errors",
+        report.recovered,
+        report.jobs,
+        report.byte_identical,
+        report.repost_identical,
+        report.journal_replayed,
+        tally.errors
     );
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(out_path, json) {
-                eprintln!("error: cannot write {out_path}: {e}");
-                return 1;
-            }
-            println!("Artifact written to {out_path}");
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            return 1;
-        }
-    }
-    i32::from(errors > 0)
-}
-
-/// One async delta job recorded by the `--delta` phase.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct DeltaJob {
-    /// Job id the server answered with (202 body).
-    id: String,
-    /// The exact delta request body submitted.
-    body: String,
-    /// Locally computed `DeltaResponse` bytes the job must answer.
-    expected: String,
-    /// Prior graph JSON, for re-validating the repaired schedule.
-    graph_json: String,
-    /// Edits JSON, for re-validating the repaired schedule.
-    edits_json: String,
-}
-
-/// The delta → delta-verify handoff file.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct DeltaState {
-    seed: u64,
-    jobs: Vec<DeltaJob>,
+    finish(&args.out, &report, &tally)
 }
 
 /// The `BENCH_delta_svc.json` artifact.
@@ -1880,44 +1632,60 @@ struct DeltaSvcBench {
     wall_s: f64,
 }
 
-/// Builds one deterministic delta problem: a TGFF graph, its local EAS
-/// prior schedule, and an edit sequence — warm-startable for most `j`,
-/// a forced `edit-storm` fallback when `j % 4 == 3` (every task edited,
-/// so rebasing would preserve nothing).
-fn delta_problem(
-    platform: &noc_platform::Platform,
-    seed: u64,
-    j: u64,
-) -> (String, String, String, String) {
-    use noc_eas::prelude::*;
-    let mut cfg =
-        noc_ctg::prelude::TgffConfig::category_i(seed.wrapping_add(0xDE17A).wrapping_add(j));
-    cfg.task_count = 10 + (j as usize % 3) * 4;
-    let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-        .generate(platform)
-        .expect("graph generates");
-    let graph_json = serde_json::to_string(&graph).expect("serializes");
-    let n = graph.task_count();
+/// `edits` applied to `graph` and to the `mesh:2x2` platform.
+fn edited(graph: &TaskGraph, edits: &[Edit]) -> Result<(AppliedEdits, Platform), String> {
+    let applied = apply_edits(graph, edits)?;
+    let platform = apply_platform_edits(&platform(), &applied.edits)?;
+    Ok((applied, platform))
+}
 
+/// The bytes the service must answer for `edits` against the EAS
+/// schedule of `graph`: schedules are byte-deterministic, so the
+/// server must reproduce the local repair exactly.
+fn expected_delta(graph: &TaskGraph, edits: &[Edit]) -> Result<String, String> {
+    let prior = noc_svc::spec::parse_scheduler("eas", 1)?
+        .schedule(graph, &platform())
+        .map_err(|e| e.to_string())?;
+    let (applied, platform) = edited(graph, edits)?;
+    let delta =
+        repair_from(graph, &prior.schedule, &platform, &applied).map_err(|e| e.to_string())?;
+    Ok(DeltaResponse::from_outcome(&delta).to_json())
+}
+
+/// A delta request body: `edits` against the EAS request for `prior`.
+fn delta_body(prior_request: &str, edits: &[Edit]) -> String {
+    let edits = serde_json::to_string(edits).expect("serializes");
+    format!(r#"{{"prior":{prior_request},"edits":{edits}}}"#)
+}
+
+/// Builds one deterministic delta request and its expected bytes: an
+/// edit sequence against a TGFF graph's EAS schedule — warm-startable
+/// for most `j`, a forced `edit-storm` fallback when `j % 4 == 3`
+/// (every task edited, so rebasing would preserve nothing).
+fn delta_problem(seed: u64, j: u64) -> (String, String) {
+    let tasks = 10 + (j as usize % 3) * 4;
+    let problem = Problem::new(seed.wrapping_add(0xDE17A).wrapping_add(j), tasks);
+    let graph = &problem.graph;
+    let n = graph.task_count() as u32;
     let edits: Vec<Edit> = if j % 4 == 3 {
         // Edit storm: one edit per task forces the full-reschedule path.
         (0..n)
-            .map(|t| Edit::SetDeadline {
-                task: t as u32,
+            .map(|task| Edit::SetDeadline {
+                task,
                 deadline: None,
             })
             .collect()
     } else {
         // A small warm-startable mix: drop one deadline, bump one
         // task's costs by ~10%.
-        let bumped = graph.task(noc_ctg::prelude::TaskId::new((1 + j as u32) % n as u32));
+        let bumped = graph.task(noc_ctg::prelude::TaskId::new((1 + j as u32) % n));
         vec![
             Edit::SetDeadline {
-                task: (j as u32) % n as u32,
+                task: j as u32 % n,
                 deadline: None,
             },
             Edit::SetExecTime {
-                task: (1 + j as u32) % n as u32,
+                task: (1 + j as u32) % n,
                 exec_times: bumped
                     .exec_times()
                     .iter()
@@ -1927,444 +1695,193 @@ fn delta_problem(
             },
         ]
     };
-    let edits_json = serde_json::to_string(&edits).expect("serializes");
+    let expected = expected_delta(graph, &edits).expect("the local repair succeeds");
+    (delta_body(&problem.body("eas"), &edits), expected)
+}
 
-    // The expected bytes, computed locally: schedules are
-    // byte-deterministic, so the server must reproduce them exactly.
-    let prior = noc_svc::spec::parse_scheduler("eas", 1)
-        .expect("eas parses")
-        .schedule(&graph, platform)
-        .expect("prior schedules");
-    let applied = apply_edits(&graph, &edits).expect("edits apply");
-    let edited_platform = apply_platform_edits(platform, &applied.edits).expect("platform applies");
-    let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied).expect("repairs");
-    let expected = noc_svc::api::DeltaResponse {
-        warm_start: delta.warm_start,
-        reason: delta.reason.to_owned(),
-        edits: delta.edits,
-        mask_tasks: delta.mask_tasks,
-        result: noc_svc::api::ScheduleResponse::from_outcome("eas", &delta.outcome),
-    }
-    .to_json();
-
-    let body = format!(
-        r#"{{"prior":{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"eas"}},"edits":{edits_json}}}"#
-    );
-    (body, expected, graph_json, edits_json)
+/// The prior graph and the edits of a recorded delta request body.
+fn delta_inputs(body: &str) -> Result<(DeltaRequest, TaskGraph, Vec<Edit>), String> {
+    let request: DeltaRequest = serde_json::from_str(body).map_err(|e| e.to_string())?;
+    let graph =
+        TaskGraph::from_value(&request.prior_request()?.graph).map_err(|e| e.to_string())?;
+    let edits = Vec::<Edit>::from_value(&request.edits).map_err(|e| e.to_string())?;
+    Ok((request, graph, edits))
 }
 
 /// Delta phase: cross-client byte-determinism probes on sync delta
 /// requests, then a wave of journaled async delta jobs whose expected
-/// bytes are computed locally. Returns the process exit code.
-fn run_delta(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_path: &str) -> i32 {
-    let mut errors = 0usize;
-    let mut client_a = match Client::connect_retry(addr, Duration::from_secs(10)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot reach {addr}: {e}");
-            return 1;
-        }
-    };
-    let mut client_b = match Client::connect_retry(addr, Duration::from_secs(10)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot open second client: {e}");
-            return 1;
-        }
-    };
-    let _ = client_a.set_timeout(timeout);
-    let _ = client_b.set_timeout(timeout);
-    println!("== svc_load --delta: {jobs} async delta jobs, seed {seed:#x} -> {addr} ==");
-
-    let platform = noc_svc::spec::parse_platform("mesh:2x2").expect("platform parses");
+/// bytes are computed locally.
+fn run_delta(args: &Args) -> Result<(), String> {
+    let mut client_a = connect(args.addr, FILL_PATIENCE, args.timeout)?;
+    let mut client_b = connect(args.addr, FILL_PATIENCE, args.timeout)?;
+    println!(
+        "== svc_load --delta: {} async delta jobs, seed {:#x} -> {} ==",
+        args.jobs, args.seed, args.addr
+    );
+    let mut tally = Tally::default();
 
     // 1. Cross-client determinism on sync delta answers: two
     //    independent connections must see bytes identical to each other
     //    and to the locally computed answer. Probe 3 covers the forced
     //    edit-storm fallback; the rest warm start.
     for probe in 0..4u64 {
-        let (body, expected, _, _) = delta_problem(&platform, seed.wrapping_add(0x5C), probe);
-        let a = client_a.post("/v1/schedule/delta", &body);
-        let b = client_b.post("/v1/schedule/delta", &body);
-        match (a, b) {
-            (Ok(ra), Ok(rb)) => {
-                if ra.status != 200 || rb.status != 200 {
-                    eprintln!(
-                        "error: delta probe {probe} answered {}/{} (want 200/200)",
-                        ra.status, rb.status
-                    );
-                    errors += 1;
-                } else {
-                    if ra.body != expected {
-                        eprintln!(
-                            "error: delta probe {probe} diverged from the local bytes:\n  want {expected}\n  got  {}",
-                            ra.body
-                        );
-                        errors += 1;
-                    }
-                    if ra.body != rb.body {
-                        eprintln!(
-                            "error: delta probe {probe} answered divergent bytes across clients"
-                        );
-                        errors += 1;
-                    }
+        let (body, expected) = delta_problem(args.seed.wrapping_add(0x5C), probe);
+        match (
+            post_expect(&mut client_a, DELTA, &body, 200),
+            post_expect(&mut client_b, DELTA, &body, 200),
+        ) {
+            (Ok(a), Ok(b)) => {
+                if a.body != expected {
+                    tally.error(format_args!(
+                        "delta probe {probe} diverged from the local bytes:\n  want {expected}\n  got  {}",
+                        a.body
+                    ));
+                }
+                if a.body != b.body {
+                    tally.error(format_args!(
+                        "delta probe {probe} answered divergent bytes across clients"
+                    ));
                 }
             }
             (a, b) => {
-                if let Err(e) = a {
-                    eprintln!("error: delta probe {probe} client A failed: {e}");
-                    errors += 1;
-                }
-                if let Err(e) = b {
-                    eprintln!("error: delta probe {probe} client B failed: {e}");
-                    errors += 1;
-                }
-            }
-        }
-    }
-    println!("cross-client determinism probes done ({errors} errors so far)");
-
-    // 2. Journaled async wave, disjoint seeds: accepted-but-maybe-
-    //    unfinished when the harness SIGKILLs the server.
-    let mut state = DeltaState {
-        seed,
-        jobs: Vec::new(),
-    };
-    for j in 0..jobs {
-        let (base_body, expected, graph_json, edits_json) =
-            delta_problem(&platform, seed.wrapping_add(0xA57C), j as u64);
-        let body = format!(
-            r#"{}{}"#,
-            &base_body[..base_body.len() - 1],
-            r#","mode":"async"}"#
-        );
-        match client_a.post("/v1/schedule/delta", &body) {
-            Ok(resp) if resp.status == 202 => {
-                let id = serde_json::from_str::<serde_json::Value>(&resp.body)
-                    .ok()
-                    .and_then(|v| {
-                        v.as_object()
-                            .and_then(|m| m.get("id"))
-                            .and_then(|id| id.as_str().map(str::to_owned))
-                    });
-                match id {
-                    Some(id) => state.jobs.push(DeltaJob {
-                        id,
-                        body,
-                        expected,
-                        graph_json,
-                        edits_json,
-                    }),
-                    None => {
-                        eprintln!("error: 202 body has no id: {}", resp.body);
-                        errors += 1;
+                for (client, answer) in [("A", a), ("B", b)] {
+                    if let Err(e) = answer {
+                        tally.error(format_args!("delta probe {probe} client {client} {e}"));
                     }
                 }
             }
-            Ok(resp) => {
-                eprintln!(
-                    "error: async delta job {j} answered {} (want 202): {}",
-                    resp.status, resp.body
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: async delta job {j} failed: {e}");
-                errors += 1;
-            }
-        }
-    }
-
-    match serde_json::to_string_pretty(&state) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(state_path, json) {
-                eprintln!("error: cannot write {state_path}: {e}");
-                return 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize state: {e}");
-            return 1;
         }
     }
     println!(
-        "{} async delta jobs accepted and journaled; state -> {state_path}; {errors} errors",
-        state.jobs.len()
+        "cross-client determinism probes done ({} errors so far)",
+        tally.errors
     );
-    i32::from(errors > 0 || state.jobs.is_empty())
+
+    // 2. Journaled async wave, disjoint seeds: accepted-but-maybe-
+    //    unfinished when the harness SIGKILLs the server.
+    let mut jobs = Vec::new();
+    for j in 0..args.jobs {
+        let (body, expected) = delta_problem(args.seed.wrapping_add(0xA57C), j as u64);
+        let body = async_body(&body);
+        match submit(&mut client_a, DELTA, &body) {
+            Ok(id) => jobs.push(Job { id, body, expected }),
+            Err(e) => tally.error(format_args!("async delta job {j} {e}")),
+        }
+    }
+    save_state(args, jobs, &tally)
 }
 
 /// Delta verify phase, run against the restarted server: every recorded
 /// delta job must finish with exactly the locally computed bytes, a
 /// re-post must reproduce them, every repaired schedule must validate
 /// against its edited graph and platform, and the journal-replay
-/// counter must prove the recovery happened. Returns the exit code.
-fn run_delta_verify(
-    addr: SocketAddr,
-    addr_text: &str,
-    timeout: Duration,
-    state_path: &str,
-    out_path: &str,
-    expect_store: bool,
-) -> i32 {
-    use noc_eas::prelude::{apply_edits, apply_platform_edits, Edit};
-    let state: DeltaState = match std::fs::read_to_string(state_path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
-    {
-        Ok(state) => state,
-        Err(e) => {
-            eprintln!("error: cannot load {state_path}: {e}");
-            return 1;
-        }
-    };
+/// counter must prove the recovery happened.
+fn run_delta_verify(args: &Args) -> Result<(), String> {
     let started = Instant::now();
-    let mut errors = 0usize;
-    let mut recovered = 0usize;
-    let mut byte_identical = 0usize;
-    let mut repost_identical = 0usize;
+    let (state, mut client) = resume(args)?;
+    let mut tally = Tally::default();
+    let recovery = verify_jobs(&mut client, &state.jobs, DELTA, &mut tally);
+    // The repaired schedule must validate against the *edited* graph
+    // and platform.
     let mut validated = 0usize;
-    let mut client = match Client::connect_retry(addr, Duration::from_secs(30)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot reach restarted server {addr}: {e}");
-            return 1;
-        }
-    };
-    let _ = client.set_timeout(timeout);
-    println!(
-        "== svc_load --delta-verify: {} jobs from {state_path} -> {addr} ==",
-        state.jobs.len()
-    );
-
-    let platform = noc_svc::spec::parse_platform("mesh:2x2").expect("platform parses");
-    let deadline = Instant::now() + Duration::from_secs(120);
     for job in &state.jobs {
-        let path = format!("/v1/jobs/{}", job.id);
-        let outcome = loop {
-            match client.get(&path) {
-                Ok(resp)
-                    if resp.body.contains("\"status\":\"queued\"")
-                        || resp.body.contains("\"status\":\"running\"") =>
-                {
-                    if Instant::now() > deadline {
-                        break Err(format!("job {} still pending at deadline", job.id));
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                Ok(resp) if resp.status == 200 => break Ok(resp.body),
-                Ok(resp) => {
-                    break Err(format!(
-                        "job {} answered {}: {}",
-                        job.id, resp.status, resp.body
-                    ))
-                }
-                Err(e) => break Err(format!("job {} poll failed: {e}", job.id)),
-            }
-        };
-        match outcome {
-            Ok(body) => {
-                recovered += 1;
-                let expected = format!(
-                    "{{\"id\":\"{}\",\"status\":\"done\",\"result\":{}}}",
-                    job.id, job.expected
-                );
-                if body == expected {
-                    byte_identical += 1;
-                } else {
-                    eprintln!(
-                        "error: delta job {} diverged after recovery:\n  want {expected}\n  got  {body}",
-                        job.id
-                    );
-                    errors += 1;
-                }
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                errors += 1;
-            }
-        }
-        // The recovered result must also serve the original request.
-        match client.post("/v1/schedule/delta", &job.body) {
-            Ok(resp) if resp.status == 200 && resp.body == job.expected => repost_identical += 1,
-            Ok(resp) => {
-                eprintln!(
-                    "error: re-post of delta job {} answered {} with divergent bytes",
-                    job.id, resp.status
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: re-post of delta job {} failed: {e}", job.id);
-                errors += 1;
-            }
-        }
-        // The repaired schedule must validate against the *edited*
-        // graph and platform.
         let check = || -> Result<(), String> {
-            let graph: noc_ctg::TaskGraph =
-                serde_json::from_str(&job.graph_json).map_err(|e| e.to_string())?;
-            let edits: Vec<Edit> =
-                serde_json::from_str(&job.edits_json).map_err(|e| e.to_string())?;
-            let applied = apply_edits(&graph, &edits)?;
-            let edited_platform = apply_platform_edits(&platform, &applied.edits)?;
-            let response: noc_svc::api::DeltaResponse =
+            let (_, graph, edits) = delta_inputs(&job.body)?;
+            let (applied, platform) = edited(&graph, &edits)?;
+            let response: DeltaResponse =
                 serde_json::from_str(&job.expected).map_err(|e| e.to_string())?;
-            noc_schedule::validate(&response.result.schedule, &applied.graph, &edited_platform)
-                .map(|_| ())
+            noc_schedule::validate(&response.result.schedule, &applied.graph, &platform)
+                .map(drop)
                 .map_err(|e| e.to_string())
         };
         match check() {
             Ok(()) => validated += 1,
-            Err(e) => {
-                eprintln!("error: delta job {} failed re-validation: {e}", job.id);
-                errors += 1;
-            }
+            Err(e) => tally.error(format_args!(
+                "delta job {} failed re-validation: {e}",
+                job.id
+            )),
         }
     }
 
-    // With a persistent store behind the server, a *fresh* edit
-    // against a recorded prior must warm start from the durable prior
-    // — the restarted server never saw the prior request on this run,
-    // so only the store can resolve it.
     let mut prior_from_store = 0u64;
-    if expect_store {
-        if let Some(job) = state.jobs.first() {
-            let mut gate = || -> Result<(), String> {
-                use noc_eas::prelude::{repair_from, Edit as DeltaEdit};
-                let graph: noc_ctg::TaskGraph =
-                    serde_json::from_str(&job.graph_json).map_err(|e| e.to_string())?;
-                let edits = vec![DeltaEdit::SetDeadline {
-                    task: 0,
-                    deadline: None,
-                }];
-                let prior = noc_svc::spec::parse_scheduler("eas", 1)
-                    .map_err(|e| e.to_string())?
-                    .schedule(&graph, &platform)
-                    .map_err(|e| e.to_string())?;
-                let applied = apply_edits(&graph, &edits)?;
-                let edited_platform = apply_platform_edits(&platform, &applied.edits)?;
-                let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied)
-                    .map_err(|e| e.to_string())?;
-                let expected = noc_svc::api::DeltaResponse {
-                    warm_start: delta.warm_start,
-                    reason: delta.reason.to_owned(),
-                    edits: delta.edits,
-                    mask_tasks: delta.mask_tasks,
-                    result: noc_svc::api::ScheduleResponse::from_outcome("eas", &delta.outcome),
-                }
-                .to_json();
-                let edits_json = serde_json::to_string(&edits).map_err(|e| e.to_string())?;
-                let body = format!(
-                    r#"{{"prior":{{"graph":{},"platform":"mesh:2x2","scheduler":"eas"}},"edits":{edits_json}}}"#,
-                    job.graph_json
-                );
-                let before = client
-                    .get("/metrics")
-                    .map(|r| scrape(&r.body, "noc_svc_delta_prior_hits_total"))
-                    .map_err(|e| e.to_string())?;
-                let resp = client
-                    .post("/v1/schedule/delta", &body)
-                    .map_err(|e| e.to_string())?;
-                if resp.status != 200 {
-                    return Err(format!("fresh-edit delta answered {}", resp.status));
-                }
-                if resp.body != expected {
-                    return Err("fresh-edit delta diverged from the local bytes".to_owned());
-                }
-                let after = client
-                    .get("/metrics")
-                    .map(|r| scrape(&r.body, "noc_svc_delta_prior_hits_total"))
-                    .map_err(|e| e.to_string())?;
-                if after <= before {
-                    return Err(format!(
-                        "fresh-edit delta did not resolve its prior from the store \
-                         (delta_prior_hits {before} -> {after})"
-                    ));
-                }
-                Ok(())
-            };
-            match gate() {
-                Ok(()) => prior_from_store = 1,
-                Err(e) => {
-                    eprintln!("error: store-backed prior gate failed: {e}");
-                    errors += 1;
-                }
-            }
+    if let (true, Some(job)) = (args.expect_store, state.jobs.first()) {
+        match store_prior_gate(&mut client, job) {
+            Ok(()) => prior_from_store = 1,
+            Err(e) => tally.error(format_args!("store-backed prior gate failed: {e}")),
         }
     }
 
-    let metrics = client.get("/metrics").map(|r| r.body).unwrap_or_default();
-    let journal_replayed = scrape(&metrics, "noc_svc_journal_replayed_total");
-    if journal_replayed == 0 {
-        eprintln!("error: noc_svc_journal_replayed_total is 0 — the restart never replayed");
-        errors += 1;
-    }
+    let metrics = metrics(&mut client);
     let store_hits = scrape(&metrics, "noc_svc_store_hits_total");
     let store_degraded = scrape(&metrics, "noc_svc_store_degraded");
-    if expect_store {
+    if args.expect_store {
         if store_hits == 0 {
-            eprintln!("error: noc_svc_store_hits_total is 0 — the disk tier never answered");
-            errors += 1;
+            tally.error("noc_svc_store_hits_total is 0 — the disk tier never answered");
         }
         if store_degraded != 0 {
-            eprintln!("error: the persistent store is degraded to memory-only mode");
-            errors += 1;
+            tally.error("the persistent store is degraded to memory-only mode");
         }
     }
     let report = DeltaSvcBench {
-        addr: addr_text.to_owned(),
+        addr: args.addr_text.clone(),
         jobs: state.jobs.len(),
-        recovered,
-        byte_identical,
-        repost_identical,
+        recovered: recovery.recovered,
+        byte_identical: recovery.byte_identical,
+        repost_identical: recovery.repost_identical,
         validated,
-        journal_replayed,
+        journal_replayed: recovery.journal_replayed,
         delta_warm: scrape(&metrics, "noc_svc_delta_warm_total"),
         delta_fallback: scrape(&metrics, "noc_svc_delta_fallback_total"),
         store_hits,
         store_degraded,
         prior_from_store,
-        errors,
+        errors: tally.errors,
         wall_s: started.elapsed().as_secs_f64(),
     };
     println!(
-        "{recovered}/{} delta jobs recovered, {byte_identical} byte-identical, \
-         {repost_identical} re-posts identical, {validated} schedules re-validated, \
-         {journal_replayed} journal records replayed, {errors} errors",
-        report.jobs
+        "{}/{} delta jobs recovered, {} byte-identical, {} re-posts identical, \
+         {validated} schedules re-validated, {} journal records replayed, {} errors",
+        report.recovered,
+        report.jobs,
+        report.byte_identical,
+        report.repost_identical,
+        report.journal_replayed,
+        tally.errors
     );
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(out_path, json) {
-                eprintln!("error: cannot write {out_path}: {e}");
-                return 1;
-            }
-            println!("Artifact written to {out_path}");
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            return 1;
-        }
+    finish(&args.out, &report, &tally)
+}
+
+/// With a persistent store behind the server, a *fresh* edit against
+/// a recorded prior must warm start from the durable prior — the
+/// restarted server never saw the prior request on this run, so only
+/// the store can resolve it.
+fn store_prior_gate(client: &mut Client, job: &Job) -> Result<(), String> {
+    let (request, graph, _) = delta_inputs(&job.body)?;
+    let edits = [Edit::SetDeadline {
+        task: 0,
+        deadline: None,
+    }];
+    let expected = expected_delta(&graph, &edits)?;
+    let prior = serde_json::to_string(&request.prior).map_err(|e| e.to_string())?;
+    let prior_hits = |client: &mut Client| {
+        client
+            .get("/metrics")
+            .map(|r| scrape(&r.body, "noc_svc_delta_prior_hits_total"))
+            .map_err(|e| e.to_string())
+    };
+    let before = prior_hits(client)?;
+    let resp = post_expect(client, DELTA, &delta_body(&prior, &edits), 200)?;
+    if resp.body != expected {
+        return Err("fresh-edit delta diverged from the local bytes".to_owned());
     }
-    i32::from(errors > 0)
-}
-
-/// One synchronous request recorded by the `--store-fill` phase: by the
-/// time its 200 arrived, the response bytes were durable on disk.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct StoreJob {
-    /// The exact request body posted.
-    body: String,
-    /// The response bytes the server answered (and must answer again).
-    expected: String,
-}
-
-/// The store-fill → store-verify handoff file.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct StoreState {
-    seed: u64,
-    jobs: Vec<StoreJob>,
+    let after = prior_hits(client)?;
+    if after <= before {
+        return Err(format!(
+            "fresh-edit delta did not resolve its prior from the store \
+             (delta_prior_hits {before} -> {after})"
+        ));
+    }
+    Ok(())
 }
 
 /// The `BENCH_store_svc.json` artifact.
@@ -2392,233 +1909,121 @@ struct StoreSvcBench {
 /// Store fill phase: a synchronous wave whose every answer is durable
 /// on disk at 200 time, recorded with its bytes; then a trailing async
 /// wave (heavy pin first) so the harness's SIGKILL lands with segment
-/// writes and journal entries in flight. Returns the exit code.
-fn run_store_fill(
-    addr: SocketAddr,
-    seed: u64,
-    jobs: usize,
-    timeout: Duration,
-    state_path: &str,
-) -> i32 {
-    let mut errors = 0usize;
-    let mut client = match Client::connect_retry(addr, Duration::from_secs(10)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot reach {addr}: {e}");
-            return 1;
-        }
-    };
-    let _ = client.set_timeout(timeout);
-    println!("== svc_load --store-fill: {jobs} sync jobs, seed {seed:#x} -> {addr} ==");
-
-    let platform = noc_svc::spec::parse_platform("mesh:2x2").expect("platform parses");
-    let mut state = StoreState {
-        seed,
-        jobs: Vec::new(),
-    };
-    for j in 0..jobs {
-        let scheduler = ["edf", "dls", "eas"][j % 3];
-        let mut cfg = noc_ctg::prelude::TgffConfig::category_i(
-            seed.wrapping_add(0x570E).wrapping_add(j as u64),
-        );
-        cfg.task_count = 10 + (j % 4) * 3;
-        let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-            .generate(&platform)
-            .expect("graph generates");
-        let graph_json = serde_json::to_string(&graph).expect("serializes");
-        let body =
-            format!(r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"{scheduler}"}}"#);
-        match client.post("/v1/schedule", &body) {
-            Ok(resp) if resp.status == 200 => {
+/// writes and journal entries in flight.
+fn run_store_fill(args: &Args) -> Result<(), String> {
+    let mut client = connect(args.addr, FILL_PATIENCE, args.timeout)?;
+    println!(
+        "== svc_load --store-fill: {} sync jobs, seed {:#x} -> {} ==",
+        args.jobs, args.seed, args.addr
+    );
+    let mut tally = Tally::default();
+    let mut jobs = Vec::new();
+    for j in 0..args.jobs {
+        let seed = args.seed.wrapping_add(0x570E).wrapping_add(j as u64);
+        let body = Problem::new(seed, 10 + (j % 4) * 3).body(["edf", "dls", "eas"][j % 3]);
+        match post_expect(&mut client, SCHEDULE, &body, 200) {
+            Ok(resp) => {
                 if resp.header("store-degraded").is_some() {
-                    eprintln!("error: store degraded to memory-only during the fill");
-                    errors += 1;
+                    tally.error("store degraded to memory-only during the fill");
                 }
-                state.jobs.push(StoreJob {
+                let id = resp.header("x-request-hash").unwrap_or_default().to_owned();
+                jobs.push(Job {
+                    id,
                     body,
                     expected: resp.body,
                 });
             }
-            Ok(resp) => {
-                eprintln!(
-                    "error: sync job {j} answered {} (want 200): {}",
-                    resp.status, resp.body
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: sync job {j} failed: {e}");
-                errors += 1;
-            }
+            Err(e) => tally.error(format_args!("sync job {j} {e}")),
         }
     }
-    println!("{} sync responses durable and recorded", state.jobs.len());
+    println!("{} sync responses durable and recorded", jobs.len());
 
     // Trailing async wave: the heavy anneal job pins a single-worker
     // server, so the rest is accepted-but-unfinished — the SIGKILL
     // lands with journal entries live and store writes still owed.
     for j in 0..4usize {
-        let scheduler = if j == 0 { "anneal" } else { "edf" };
-        let mut cfg = noc_ctg::prelude::TgffConfig::category_i(
-            seed.wrapping_add(0x57A1).wrapping_add(j as u64),
-        );
-        cfg.task_count = if j == 0 { 96 } else { 12 };
-        let graph = noc_ctg::prelude::TgffGenerator::new(cfg)
-            .generate(&platform)
-            .expect("graph generates");
-        let graph_json = serde_json::to_string(&graph).expect("serializes");
-        let body = format!(
-            r#"{{"graph":{graph_json},"platform":"mesh:2x2","scheduler":"{scheduler}","mode":"async"}}"#
-        );
-        match client.post("/v1/schedule", &body) {
-            Ok(resp) if resp.status == 202 => {}
-            Ok(resp) => {
-                eprintln!("error: trailing async job {j} answered {}", resp.status);
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: trailing async job {j} failed: {e}");
-                errors += 1;
-            }
+        let (scheduler, tasks) = if j == 0 { ("anneal", 96) } else { ("edf", 12) };
+        let problem = Problem::new(args.seed.wrapping_add(0x57A1).wrapping_add(j as u64), tasks);
+        if let Err(e) = submit(&mut client, SCHEDULE, &async_body(&problem.body(scheduler))) {
+            tally.error(format_args!("trailing async job {j} {e}"));
         }
     }
-
-    match serde_json::to_string_pretty(&state) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(state_path, json) {
-                eprintln!("error: cannot write {state_path}: {e}");
-                return 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize state: {e}");
-            return 1;
-        }
-    }
-    println!(
-        "{} durable responses recorded; state -> {state_path}; {errors} errors",
-        state.jobs.len()
-    );
-    i32::from(errors > 0 || state.jobs.is_empty())
+    save_state(args, jobs, &tally)
 }
 
 /// Store verify phase, run against the restarted server: wait for the
 /// replayed backlog to settle, then re-post every recorded body — each
 /// must answer the recorded bytes as a cache hit, cost **zero**
 /// schedule executions, and raise the disk-tier hit counter by at
-/// least one per record. Returns the exit code.
-fn run_store_verify(
-    addr: SocketAddr,
-    addr_text: &str,
-    timeout: Duration,
-    state_path: &str,
-    out_path: &str,
-) -> i32 {
-    let state: StoreState = match std::fs::read_to_string(state_path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
-    {
-        Ok(state) => state,
-        Err(e) => {
-            eprintln!("error: cannot load {state_path}: {e}");
-            return 1;
-        }
-    };
+/// least one per record.
+fn run_store_verify(args: &Args) -> Result<(), String> {
     let started = Instant::now();
-    let mut errors = 0usize;
-    let mut client = match Client::connect_retry(addr, Duration::from_secs(30)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot reach restarted server {addr}: {e}");
-            return 1;
-        }
-    };
-    let _ = client.set_timeout(timeout);
-    println!(
-        "== svc_load --store-verify: {} recorded responses from {state_path} -> {addr} ==",
-        state.jobs.len()
-    );
+    let (state, mut client) = resume(args)?;
+    let mut tally = Tally::default();
 
     // Let the replayed journal backlog drain first: re-run jobs settle,
     // so the executed counter is quiescent before the gated re-posts.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let metrics = client.get("/metrics").map(|r| r.body).unwrap_or_default();
-        if scrape(&metrics, "noc_svc_queue_depth") == 0
+    let drained = wait_until(Duration::from_secs(120), Duration::from_millis(100), || {
+        let metrics = metrics(&mut client);
+        scrape(&metrics, "noc_svc_queue_depth") == 0
             && scrape(&metrics, "noc_svc_jobs_inflight") == 0
-        {
-            break;
-        }
-        if Instant::now() > deadline {
-            eprintln!("error: replayed backlog still busy at deadline");
-            errors += 1;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
+    });
+    if !drained {
+        tally.error("replayed backlog still busy at deadline");
     }
 
-    let before = client.get("/metrics").map(|r| r.body).unwrap_or_default();
-    let executed_before = scrape(&before, "noc_svc_schedules_executed_total");
-    let hits_before = scrape(&before, "noc_svc_store_hits_total");
-
+    let before = metrics(&mut client);
     let mut byte_identical = 0usize;
     let mut served_as_hit = 0usize;
-    for (j, job) in state.jobs.iter().enumerate() {
-        match client.post("/v1/schedule", &job.body) {
-            Ok(resp) if resp.status == 200 && resp.body == job.expected => {
+    for job in &state.jobs {
+        let id = &job.id;
+        match post_expect(&mut client, SCHEDULE, &job.body, 200) {
+            Ok(resp) if resp.body == job.expected => {
                 byte_identical += 1;
                 if resp.header("x-cache") == Some("hit") {
                     served_as_hit += 1;
                 } else {
-                    eprintln!("error: re-post {j} was not served as a cache hit");
-                    errors += 1;
+                    tally.error(format_args!(
+                        "re-post of {id} was not served as a cache hit"
+                    ));
                 }
                 if resp.header("store-degraded").is_some() {
-                    eprintln!("error: re-post {j} was served degraded (memory-only)");
-                    errors += 1;
+                    tally.error(format_args!(
+                        "re-post of {id} was served degraded (memory-only)"
+                    ));
                 }
             }
-            Ok(resp) => {
-                eprintln!(
-                    "error: re-post {j} answered {} with divergent bytes (want the recorded 200)",
-                    resp.status
-                );
-                errors += 1;
-            }
-            Err(e) => {
-                eprintln!("error: re-post {j} failed: {e}");
-                errors += 1;
-            }
+            Ok(_) => tally.error(format_args!(
+                "re-post of {id} answered divergent bytes (want the recorded 200)"
+            )),
+            Err(e) => tally.error(format_args!("re-post of {id} {e}")),
         }
     }
 
-    let after = client.get("/metrics").map(|r| r.body).unwrap_or_default();
-    let executed_after = scrape(&after, "noc_svc_schedules_executed_total");
-    let recomputes = executed_after.saturating_sub(executed_before);
+    let after = metrics(&mut client);
+    let delta = |name: &str| scrape(&after, name).saturating_sub(scrape(&before, name));
+    let recomputes = delta("noc_svc_schedules_executed_total");
     if recomputes != 0 {
-        eprintln!(
-            "error: the re-post wave cost {recomputes} schedule executions (the store must \
+        tally.error(format_args!(
+            "the re-post wave cost {recomputes} schedule executions (the store must \
              answer them all)"
-        );
-        errors += 1;
+        ));
     }
-    let store_hits_delta = scrape(&after, "noc_svc_store_hits_total").saturating_sub(hits_before);
+    let store_hits_delta = delta("noc_svc_store_hits_total");
     if store_hits_delta < state.jobs.len() as u64 {
-        eprintln!(
-            "error: only {store_hits_delta} disk-tier hits for {} re-posts — responses did \
+        tally.error(format_args!(
+            "only {store_hits_delta} disk-tier hits for {} re-posts — responses did \
              not come from the persistent store",
             state.jobs.len()
-        );
-        errors += 1;
+        ));
     }
     let store_degraded = scrape(&after, "noc_svc_store_degraded");
     if store_degraded != 0 {
-        eprintln!("error: the persistent store is degraded to memory-only mode");
-        errors += 1;
+        tally.error("the persistent store is degraded to memory-only mode");
     }
 
     let report = StoreSvcBench {
-        addr: addr_text.to_owned(),
+        addr: args.addr_text.clone(),
         jobs: state.jobs.len(),
         byte_identical,
         served_as_hit,
@@ -2629,65 +2034,176 @@ fn run_store_verify(
         store_rotations: scrape(&after, "noc_svc_store_rotations_total"),
         store_segments: scrape(&after, "noc_svc_store_segments"),
         store_degraded,
-        errors,
+        errors: tally.errors,
         wall_s: started.elapsed().as_secs_f64(),
     };
     println!(
         "{byte_identical}/{} re-posts byte-identical ({served_as_hit} as hits), \
-         {recomputes} recomputes, {store_hits_delta} disk-tier hits, {errors} errors",
-        report.jobs
+         {recomputes} recomputes, {store_hits_delta} disk-tier hits, {} errors",
+        report.jobs, tally.errors
     );
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(out_path, json) {
-                eprintln!("error: cannot write {out_path}: {e}");
-                return 1;
-            }
-            println!("Artifact written to {out_path}");
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            return 1;
-        }
+    finish(&args.out, &report, &tally)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&argv)
     }
-    i32::from(errors > 0 || byte_identical != state.jobs.len())
-}
 
-/// Extracts the `noc_svc_stage_seconds` histograms from Prometheus
-/// text: stage label → (cumulative count, cumulative sum of seconds).
-fn scrape_stages(metrics: &str) -> HashMap<String, (u64, f64)> {
-    let mut out: HashMap<String, (u64, f64)> = HashMap::new();
-    for line in metrics.lines() {
-        if let Some(rest) = line.strip_prefix("noc_svc_stage_seconds_count{stage=\"") {
-            if let Some((stage, tail)) = rest.split_once("\"}") {
-                if let Ok(v) = tail.trim().parse::<u64>() {
-                    out.entry(stage.to_owned()).or_insert((0, 0.0)).0 = v;
-                }
-            }
-        } else if let Some(rest) = line.strip_prefix("noc_svc_stage_seconds_sum{stage=\"") {
-            if let Some((stage, tail)) = rest.split_once("\"}") {
-                if let Ok(v) = tail.trim().parse::<f64>() {
-                    out.entry(stage.to_owned()).or_insert((0, 0.0)).1 = v;
-                }
-            }
-        }
+    fn rejected(line: &str) -> String {
+        parse(line).expect_err("the command line must be rejected")
     }
-    out
-}
 
-/// Extracts a single-value counter from Prometheus text.
-fn scrape(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#') && !l[name.len()..].starts_with('{'))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
+    const TWO: &str = "127.0.0.1:1,127.0.0.1:2";
 
-fn parse<T: std::str::FromStr>(s: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid numeric value {s:?}");
-        std::process::exit(2);
-    })
+    #[test]
+    fn chaos_with_cluster_and_load_flags_is_rejected() {
+        let line = format!("--chaos --jobs 8 --nodes {TWO} --stats --idle-conns 5");
+        assert_eq!(rejected(&line), "--chaos does not read --nodes");
+        assert_eq!(
+            rejected(&format!("--chaos --nodes {TWO}")),
+            "--chaos does not read --nodes"
+        );
+    }
+
+    #[test]
+    fn delta_verify_rejects_nodes() {
+        assert_eq!(
+            rejected(&format!("--delta-verify --nodes {TWO}")),
+            "--delta-verify does not read --nodes"
+        );
+    }
+
+    #[test]
+    fn store_verify_rejects_expect_store_and_requests() {
+        assert_eq!(
+            rejected("--store-verify --expect-store --requests 5"),
+            "--store-verify does not read --expect-store"
+        );
+        assert_eq!(
+            rejected("--store-verify --requests 5"),
+            "--store-verify does not read --requests"
+        );
+    }
+
+    #[test]
+    fn two_mode_flags_are_rejected() {
+        assert_eq!(rejected("--chaos --delta"), "--chaos does not read --delta");
+        assert_eq!(
+            rejected(&format!("--store-fill --chaos-net {TWO}")),
+            "--store-fill does not read --chaos-net"
+        );
+    }
+
+    #[test]
+    fn cluster_rejects_load_flags() {
+        assert_eq!(
+            rejected(&format!("--nodes {TWO} --stats")),
+            "--nodes does not read --stats"
+        );
+        assert_eq!(
+            rejected(&format!("--nodes {TWO} --addr 127.0.0.1:8533")),
+            "--nodes does not read --addr"
+        );
+    }
+
+    #[test]
+    fn load_wave_rejects_recovery_flags() {
+        assert_eq!(rejected("--jobs 3"), "the load wave does not read --jobs");
+        assert_eq!(
+            rejected("--state s.json"),
+            "the load wave does not read --state"
+        );
+    }
+
+    #[test]
+    fn fill_modes_write_no_artifact() {
+        assert_eq!(
+            rejected("--chaos BENCH_chaos.json"),
+            "--chaos writes no artifact (got \"BENCH_chaos.json\")"
+        );
+    }
+
+    #[test]
+    fn malformed_addresses_and_values_are_rejected() {
+        assert_eq!(
+            rejected("--chaos-net 127.0.0.1:1"),
+            "--chaos-net requires --nodes"
+        );
+        assert_eq!(
+            rejected(&format!("--nodes {TWO} --chaos-net 127.0.0.1:3")),
+            "--chaos-net needs one control address per --nodes entry (1 controls for 2 nodes)"
+        );
+        assert_eq!(
+            rejected("--nodes 127.0.0.1:1"),
+            "--nodes needs at least two comma-separated addresses"
+        );
+        assert_eq!(rejected("--nodes x,y"), "bad --nodes address \"x\"");
+        assert_eq!(rejected("--addr nowhere"), "bad --addr \"nowhere\"");
+        assert_eq!(rejected("--requests"), "--requests needs a value");
+        assert_eq!(
+            rejected("--requests many"),
+            "invalid numeric value \"many\""
+        );
+        assert_eq!(rejected("--threads 2"), "unknown flag --threads");
+    }
+
+    #[test]
+    fn each_mode_has_its_own_default_files() {
+        let load = parse("").expect("the load wave");
+        assert_eq!(load.mode.flag, "");
+        assert_eq!(load.out, "BENCH_service.json");
+        assert_eq!((load.requests, load.clients, load.graphs), (1200, 4, 12));
+        assert_eq!((load.seed, load.jobs), (1516, 8));
+        assert_eq!(load.timeout, Duration::from_secs(60));
+        let verify = parse("--delta-verify --timeout-ms 5").expect("delta verify");
+        assert_eq!(verify.state, "delta_state.json");
+        assert_eq!(verify.out, "BENCH_delta_svc.json");
+        let fill = parse("--store-fill --state s.json").expect("store fill");
+        assert_eq!(fill.state, "s.json");
+        let drill = parse(&format!("--nodes {TWO} --chaos-net {TWO} p.json")).expect("drill");
+        assert_eq!(drill.mode.flag, "--chaos-net");
+        assert_eq!(drill.out, "p.json");
+        assert_eq!(drill.controls.len(), 2);
+    }
+
+    /// Every `svc_load` command line in CI must name flags its mode
+    /// reads, so a CI edit that passes an ignored flag fails here
+    /// rather than in a smoke job.
+    #[test]
+    fn ci_command_lines_parse() {
+        let ci = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../.github/workflows/ci.yml"
+        ))
+        .expect("the CI workflow is readable");
+        let joined = ci.replace("\\\n", " ");
+        let mut modes = HashSet::new();
+        let mut runs = 0;
+        for line in joined.lines() {
+            let Some((_, rest)) = line.split_once("target/release/svc_load ") else {
+                continue;
+            };
+            let argv: Vec<String> = rest
+                .split_whitespace()
+                .map(|token| token.trim_matches('"'))
+                .map(|token| {
+                    if token.starts_with('$') {
+                        "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3".to_owned()
+                    } else {
+                        token.to_owned()
+                    }
+                })
+                .collect();
+            let args = parse_args(&argv).unwrap_or_else(|e| panic!("CI line `{rest}`: {e}"));
+            modes.insert(args.mode.flag);
+            runs += 1;
+        }
+        assert_eq!(runs, 13, "svc_load runs found in CI");
+        assert_eq!(modes.len(), MODES.len(), "every mode runs in CI: {modes:?}");
+    }
 }

@@ -257,19 +257,11 @@ fn main() {
         max_summary_overhead_pct: MAX_SUMMARY_OVERHEAD_PCT,
         cases,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => match std::fs::write(&out_path, json) {
-            Ok(()) => println!("\nArtifact written to {out_path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = noc_bench::write_json(&out_path, &report) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
+    println!("\nArtifact written to {out_path}");
     if failed {
         std::process::exit(1);
     }

@@ -995,16 +995,10 @@ pub fn write_json_artifact<T: Serialize>(name: &str, value: &T) -> Option<std::p
         return None;
     }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-                None
-            }
-        },
+    match crate::write_json(&path, value) {
+        Ok(()) => Some(path),
         Err(e) => {
-            eprintln!("warning: cannot serialize {name}: {e}");
+            eprintln!("warning: {e}");
             None
         }
     }

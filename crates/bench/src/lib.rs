@@ -25,8 +25,25 @@ pub mod experiments;
 pub mod platforms;
 pub mod report;
 pub mod runner;
+pub mod svc;
 
 pub use runner::{run_schedulers, ResultRow};
+
+/// Writes `value` to `path` as pretty-printed JSON.
+///
+/// # Errors
+///
+/// A message naming `path` when the value does not serialize or the
+/// file cannot be written.
+pub fn write_json<T: serde::Serialize + ?Sized>(
+    path: impl AsRef<std::path::Path>,
+    value: &T,
+) -> Result<(), String> {
+    let path = path.as_ref();
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("cannot serialize {}: {e}", path.display()))?;
+    std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
 
 /// Parses the shared `--threads N` knob from the process arguments
 /// (0, the default, means all hardware threads). Exits with a usage

@@ -518,13 +518,7 @@ fn delta_cmd(args: &Args) -> Result<String, String> {
                     .into(),
             );
         }
-        let response = noc_svc::api::DeltaResponse {
-            warm_start: delta.warm_start,
-            reason: delta.reason.to_owned(),
-            edits: delta.edits,
-            mask_tasks: delta.mask_tasks,
-            result: noc_svc::api::ScheduleResponse::from_outcome("eas", outcome),
-        };
+        let response = noc_svc::api::DeltaResponse::from_outcome(&delta);
         if let Some(path) = args.get("out") {
             save_json(path, &outcome.schedule)?;
         }

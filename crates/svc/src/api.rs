@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Map, Serialize, Value};
 
+use noc_eas::delta::DeltaOutcome;
 use noc_eas::ScheduleOutcome;
 use noc_schedule::{Schedule, ValidationReport};
 
@@ -244,6 +245,20 @@ pub struct DeltaResponse {
 }
 
 impl DeltaResponse {
+    /// Builds the response from a warm-start repair: the warm-start
+    /// decision around the repaired schedule, which EAS produced
+    /// whether the prior was rebased or rescheduled in full.
+    #[must_use]
+    pub fn from_outcome(delta: &DeltaOutcome) -> Self {
+        DeltaResponse {
+            warm_start: delta.warm_start,
+            reason: delta.reason.to_owned(),
+            edits: delta.edits,
+            mask_tasks: delta.mask_tasks,
+            result: ScheduleResponse::from_outcome("eas", &delta.outcome),
+        }
+    }
+
     /// The one true serialization: compact JSON, stable field order.
     #[must_use]
     pub fn to_json(&self) -> String {

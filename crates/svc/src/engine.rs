@@ -1144,41 +1144,25 @@ impl Engine {
         scheduler_name: &str,
     ) -> Result<JobOutput, String> {
         let mut sink = SummarySink::new();
-        let outcome = match self.config.budget_ms {
-            None => {
-                scheduler.schedule_traced(graph, platform, &ComputeBudget::unlimited(), &mut sink)
-            }
-            Some(ms) => {
-                let budget = ComputeBudget::wall_clock(Duration::from_millis(ms));
-                match scheduler.schedule_traced(graph, platform, &budget, &mut sink) {
-                    Err(SchedulerError::Interrupted | SchedulerError::BudgetExhausted(_)) => {
-                        return match EdfScheduler::new().schedule(graph, platform) {
-                            Ok(outcome) => {
-                                // Truthful labelling: the schedule served
-                                // is EDF's, whatever was asked for. The
-                                // interrupted run's half-finished trace
-                                // is dropped — no stats block.
-                                let mut response = ScheduleResponse::from_outcome("edf", &outcome);
-                                response.degraded = true;
-                                Ok(JobOutput {
-                                    body: Arc::new(response.to_json()),
-                                    degraded: true,
-                                    stats: None,
-                                })
-                            }
-                            Err(e) => Err(format!("degraded EDF fallback failed: {e}")),
-                        };
-                    }
-                    other => other,
-                }
-            }
-        };
-        match outcome {
+        match scheduler.schedule_traced(graph, platform, &self.budget(), &mut sink) {
             Ok(outcome) => {
                 let response = ScheduleResponse::from_outcome(scheduler_name, &outcome);
                 Ok(self.render_with_stats(&sink.into_summary(), response.to_json()))
             }
+            Err(SchedulerError::Interrupted | SchedulerError::BudgetExhausted(_))
+                if self.config.budget_ms.is_some() =>
+            {
+                edf_fallback(graph, platform, |response| response.to_json())
+            }
             Err(e) => Err(e.to_string()),
+        }
+    }
+
+    /// The configured compute budget for one run.
+    fn budget(&self) -> ComputeBudget {
+        match self.config.budget_ms {
+            None => ComputeBudget::unlimited(),
+            Some(ms) => ComputeBudget::wall_clock(Duration::from_millis(ms)),
         }
     }
 
@@ -1239,16 +1223,12 @@ impl Engine {
         };
 
         let mut sink = SummarySink::new();
-        let budget = match self.config.budget_ms {
-            None => ComputeBudget::unlimited(),
-            Some(ms) => ComputeBudget::wall_clock(Duration::from_millis(ms)),
-        };
         let result = repair_from_traced(
             prior_graph,
             &prior_schedule,
             platform,
             applied,
-            &budget,
+            &self.budget(),
             &mut sink,
         );
         match result {
@@ -1258,38 +1238,23 @@ impl Engine {
                 } else {
                     self.metrics.delta_fallback.fetch_add(1, Ordering::Relaxed);
                 }
-                let response = DeltaResponse {
-                    warm_start: delta.warm_start,
-                    reason: delta.reason.to_owned(),
-                    edits: delta.edits,
-                    mask_tasks: delta.mask_tasks,
-                    result: ScheduleResponse::from_outcome("eas", &delta.outcome),
-                };
+                let response = DeltaResponse::from_outcome(&delta);
                 Ok(self.render_with_stats(&sink.into_summary(), response.to_json()))
             }
             Err(SchedulerError::Interrupted | SchedulerError::BudgetExhausted(_))
                 if self.config.budget_ms.is_some() =>
             {
                 self.metrics.delta_fallback.fetch_add(1, Ordering::Relaxed);
-                match EdfScheduler::new().schedule(&applied.graph, platform) {
-                    Ok(outcome) => {
-                        let mut inner = ScheduleResponse::from_outcome("edf", &outcome);
-                        inner.degraded = true;
-                        let response = DeltaResponse {
-                            warm_start: false,
-                            reason: "budget-exhausted".to_owned(),
-                            edits: applied.edits.len(),
-                            mask_tasks: 0,
-                            result: inner,
-                        };
-                        Ok(JobOutput {
-                            body: Arc::new(response.to_json()),
-                            degraded: true,
-                            stats: None,
-                        })
+                edf_fallback(&applied.graph, platform, |result| {
+                    DeltaResponse {
+                        warm_start: false,
+                        reason: "budget-exhausted".to_owned(),
+                        edits: applied.edits.len(),
+                        mask_tasks: 0,
+                        result,
                     }
-                    Err(e) => Err(format!("degraded EDF fallback failed: {e}")),
-                }
+                    .to_json()
+                })
             }
             Err(e) => Err(e.to_string()),
         }
@@ -1518,6 +1483,28 @@ impl RecordSource for Engine {
     fn fetch(&self, id: &str) -> Option<(String, JobOutput)> {
         self.lookup_record(id)
     }
+}
+
+/// The answer to a run its compute budget interrupted: the EDF
+/// schedule of the same problem, labelled truthfully as `edf` and
+/// marked `"degraded": true`, whatever was asked for. `render` wraps
+/// that schedule response into the final body. The interrupted run's
+/// half-finished trace is dropped, so there is no stats block.
+fn edf_fallback(
+    graph: &TaskGraph,
+    platform: &Platform,
+    render: impl FnOnce(ScheduleResponse) -> String,
+) -> Result<JobOutput, String> {
+    let outcome = EdfScheduler::new()
+        .schedule(graph, platform)
+        .map_err(|e| format!("degraded EDF fallback failed: {e}"))?;
+    let mut response = ScheduleResponse::from_outcome("edf", &outcome);
+    response.degraded = true;
+    Ok(JobOutput {
+        body: Arc::new(render(response)),
+        degraded: true,
+        stats: None,
+    })
 }
 
 /// Renders store-index lanes back into 32-hex content hashes — the
@@ -1877,6 +1864,42 @@ mod tests {
             *cold_out.body, *warm_out.body,
             "delta answers must not depend on cache luck"
         );
+    }
+
+    /// The degraded delta answer for [`graph_json`] under an 8-edit
+    /// storm: EDF on the edited graph, wrapped as a budget-exhausted
+    /// fallback.
+    const DEGRADED_DELTA_BODY: &str = r#"{"warm_start":false,"reason":"budget-exhausted","edits":8,"mask_tasks":0,"result":{"scheduler":"edf","energy_nj":2816.5652283279246,"computation_nj":2479.4930283279245,"communication_nj":337.0722,"makespan":717,"deadline_misses":0,"tardiness":0,"meets_deadlines":true,"avg_hops":1.3076923076923077,"degraded":true,"schedule":{"tasks":[{"pe":0,"start":0,"finish":55},{"pe":0,"start":55,"finish":119},{"pe":0,"start":119,"finish":280},{"pe":0,"start":280,"finish":439},{"pe":3,"start":329,"finish":604},{"pe":0,"start":439,"finish":494},{"pe":0,"start":494,"finish":567},{"pe":0,"start":567,"finish":717}],"comms":[{"route":[],"start":55,"finish":55},{"route":[],"start":55,"finish":55},{"route":[],"start":55,"finish":55},{"route":[],"start":55,"finish":55},{"route":[],"start":55,"finish":55},{"route":[],"start":55,"finish":55},{"route":[],"start":119,"finish":119},{"route":[],"start":119,"finish":119},{"route":[0,3],"start":119,"finish":262},{"route":[],"start":119,"finish":119},{"route":[],"start":280,"finish":280},{"route":[0,3],"start":280,"finish":329},{"route":[],"start":280,"finish":280},{"route":[],"start":280,"finish":280},{"route":[],"start":439,"finish":439},{"route":[],"start":567,"finish":567}]}}}"#;
+
+    #[test]
+    fn expired_budget_degrades_delta_to_edf() {
+        let engine = engine(EngineConfig {
+            budget_ms: Some(0),
+            ..EngineConfig::default()
+        });
+        // An edit storm (a deadline edit on every task) rejects the warm
+        // start, so the full EAS reschedule polls the expired budget.
+        let storm: Vec<String> = (0..8)
+            .map(|t| format!(r#"{{"SetDeadline":{{"task":{t}}}}}"#))
+            .collect();
+        let body = delta_body(&graph_json(), &format!("[{}]", storm.join(",")));
+        let Submission::Enqueued { job, .. } = engine.submit_delta(&body) else {
+            panic!("delta must enqueue");
+        };
+        drain(&engine);
+        let JobPhase::Done(output) = job.wait() else {
+            panic!("an expired budget must degrade a delta, never fail it");
+        };
+        assert!(output.degraded);
+        assert!(output.body.starts_with(
+            r#"{"warm_start":false,"reason":"budget-exhausted","edits":8,"mask_tasks":0,"result":{"scheduler":"edf","#
+        ));
+        assert!(output.body.contains(r#""degraded":true"#));
+        assert_eq!(*output.body, DEGRADED_DELTA_BODY);
+        assert!(output.stats.is_none(), "an interrupted run has no stats");
+        assert_eq!(engine.metrics.delta_fallback.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.metrics.degraded.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.metrics.delta_warm.load(Ordering::Relaxed), 0);
     }
 
     #[test]
