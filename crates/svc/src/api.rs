@@ -9,13 +9,17 @@
 //! bodies whether a request is served cold, from cache, or coalesced
 //! onto a concurrent twin.
 
+use std::borrow::Cow;
+use std::cell::Cell;
+
 use serde::{Deserialize, Map, Serialize, Value};
+use serde_json::{Error, Reader, Token};
 
 use noc_eas::delta::DeltaOutcome;
 use noc_eas::ScheduleOutcome;
 use noc_schedule::{Schedule, ValidationReport};
 
-use crate::hash::{content_hash, Canonical};
+use crate::hash::{content_hash, write_string, Canonical, TextBuffers, TextCanonical};
 
 /// The request-correlation header: the service echoes the trace id of
 /// every request here, accepts a client-supplied hex id (8–64 chars)
@@ -75,6 +79,15 @@ impl ScheduleRequest {
         self.stats == Some(true)
     }
 
+    /// The presentation members.
+    #[must_use]
+    pub fn presentation(&self) -> Presentation {
+        Presentation {
+            is_async: self.is_async(),
+            wants_stats: self.wants_stats(),
+        }
+    }
+
     /// The canonical cache key: a sorted-key rendering of the
     /// *semantic* request content — graph, platform spec, fault spec and
     /// resolved scheduler name. Insensitive to JSON key order, to
@@ -82,21 +95,186 @@ impl ScheduleRequest {
     /// `mode` and `stats` fields.
     #[must_use]
     pub fn canonical_key(&self) -> String {
-        // The four members in ascending key order, written in one pass.
-        let mut w = Canonical::default();
-        w.out.push_str("{\"faults\":");
-        match &self.faults {
-            Some(f) => w.string(f),
-            None => w.out.push_str("null"),
+        schedule_key(
+            self.faults.as_deref(),
+            |out| Canonical::default().value(out, &self.graph),
+            &self.platform,
+            self.scheduler_name(),
+        )
+    }
+}
+
+/// Writes a schedule key: the four semantic members in ascending key
+/// order, with `graph` writing the canonical graph.
+fn schedule_key(
+    faults: Option<&str>,
+    graph: impl FnOnce(&mut String),
+    platform: &str,
+    scheduler: &str,
+) -> String {
+    let mut out = String::new();
+    out.push_str("{\"faults\":");
+    match faults {
+        Some(f) => write_string(&mut out, f),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"graph\":");
+    graph(&mut out);
+    out.push_str(",\"platform\":");
+    write_string(&mut out, platform);
+    out.push_str(",\"scheduler\":");
+    write_string(&mut out, scheduler);
+    out.push('}');
+    out
+}
+
+/// How a client wants its answer delivered. Neither member is part of
+/// any cache key: they decide whether a client waits for the job and
+/// how a body is rendered, never what is computed or stored.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Presentation {
+    /// `"mode":"async"`: answer `202` with a job id to poll.
+    pub is_async: bool,
+    /// `"stats":true`: append the `"stats"` block when there is one.
+    pub wants_stats: bool,
+}
+
+/// What one pass over the bytes of a `POST /v1/schedule` body yields:
+/// the request's cache key and its presentation members, without a
+/// value tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScheduleKey {
+    /// [`ScheduleRequest::canonical_key`] of the body's request.
+    pub key: String,
+    /// [`ScheduleRequest::presentation`] of the body's request.
+    pub presentation: Presentation,
+}
+
+/// A `ScheduleRequest` member as the pass found it.
+enum Member<'a> {
+    Missing,
+    Null,
+    Bool(bool),
+    Str(Cow<'a, str>),
+    /// A number, array or object.
+    Other,
+}
+
+impl<'a> Member<'a> {
+    /// The member as an `Option<String>` field: `None` when it is not
+    /// one.
+    fn optional(self) -> Option<Option<Cow<'a, str>>> {
+        match self {
+            Member::Missing | Member::Null => Some(None),
+            Member::Str(s) => Some(Some(s)),
+            Member::Bool(_) | Member::Other => None,
         }
-        w.out.push_str(",\"graph\":");
-        w.value(&self.graph);
-        w.out.push_str(",\"platform\":");
-        w.string(&self.platform);
-        w.out.push_str(",\"scheduler\":");
-        w.string(self.scheduler_name());
-        w.out.push('}');
-        w.out
+    }
+}
+
+impl ScheduleKey {
+    /// Reads `body` in one pass, writing the canonical graph straight
+    /// from its text. `Some` exactly when decoding `body` into a
+    /// [`ScheduleRequest`] succeeds, and then with that request's
+    /// canonical key and presentation members; the decode, run on a
+    /// `None`, reports why the body is bad.
+    #[must_use]
+    pub fn scan(body: &str) -> Option<ScheduleKey> {
+        thread_local! {
+            /// The pass's storage, reused by the next pass on the thread.
+            static BUFFERS: Cell<TextBuffers> = Cell::default();
+        }
+        let mut w = TextCanonical::new(BUFFERS.take());
+        let scan = Self::read(body, &mut w);
+        BUFFERS.set(w.into_buffers());
+        scan.ok().flatten()
+    }
+
+    fn read<'a>(body: &'a str, w: &mut TextCanonical<'a>) -> Result<Option<ScheduleKey>, Error> {
+        let mut r = Reader::new(body);
+        let mut graph = None;
+        let mut platform = Member::Missing;
+        let mut scheduler = Member::Missing;
+        let mut faults = Member::Missing;
+        let mut mode = Member::Missing;
+        let mut stats = Member::Missing;
+        let mut name = String::new();
+        r.skip_ws();
+        if r.token()? != Token::Object {
+            return Ok(None);
+        }
+        if r.has_member() {
+            loop {
+                name.clear();
+                let key = r.key_or_decode(&mut name)?.unwrap_or(&name);
+                let token = r.token()?;
+                // A repeated member takes its last value, as in `Map`.
+                let slot = match key {
+                    "graph" => {
+                        graph = Some(w.chain(&mut r, token)?);
+                        None
+                    }
+                    "platform" => Some(&mut platform),
+                    "scheduler" => Some(&mut scheduler),
+                    "faults" => Some(&mut faults),
+                    "mode" => Some(&mut mode),
+                    "stats" => Some(&mut stats),
+                    // Unknown members are read (a bad one fails the
+                    // decode too) and dropped.
+                    _ => {
+                        w.chain(&mut r, token)?;
+                        None
+                    }
+                };
+                if let Some(slot) = slot {
+                    *slot = match token {
+                        Token::Null => Member::Null,
+                        Token::Bool(b) => Member::Bool(b),
+                        Token::String => {
+                            let mut decoded = String::new();
+                            Member::Str(match r.str_or_decode(&mut decoded)? {
+                                Some(text) => Cow::Borrowed(text),
+                                None => Cow::Owned(decoded),
+                            })
+                        }
+                        _ => {
+                            w.chain(&mut r, token)?;
+                            Member::Other
+                        }
+                    };
+                }
+                if !r.next_member()? {
+                    break;
+                }
+            }
+        }
+        r.finish()?;
+        let (Some(graph), Member::Str(platform)) = (graph, platform) else {
+            return Ok(None);
+        };
+        let (Some(scheduler), Some(faults), Some(mode)) =
+            (scheduler.optional(), faults.optional(), mode.optional())
+        else {
+            return Ok(None);
+        };
+        let wants_stats = match stats {
+            Member::Missing | Member::Null => false,
+            Member::Bool(b) => b,
+            Member::Str(_) | Member::Other => return Ok(None),
+        };
+        let key = schedule_key(
+            faults.as_deref(),
+            |out| w.write(graph, out),
+            &platform,
+            scheduler.as_deref().unwrap_or("eas"),
+        );
+        Ok(Some(ScheduleKey {
+            key,
+            presentation: Presentation {
+                is_async: mode.as_deref() == Some("async"),
+                wants_stats,
+            },
+        }))
     }
 }
 
@@ -191,6 +369,15 @@ impl DeltaRequest {
         self.stats == Some(true)
     }
 
+    /// The presentation members.
+    #[must_use]
+    pub fn presentation(&self) -> Presentation {
+        Presentation {
+            is_async: self.is_async(),
+            wants_stats: self.wants_stats(),
+        }
+    }
+
     /// Parses the embedded prior request.
     ///
     /// # Errors
@@ -215,13 +402,13 @@ impl DeltaRequest {
     /// [`canonical_key`](Self::canonical_key) given the prior request's
     /// content hash.
     pub(crate) fn canonical_key_for(&self, prior_hash: &str) -> String {
-        let mut w = Canonical::default();
-        w.out.push_str("{\"delta_of\":");
-        w.string(prior_hash);
-        w.out.push_str(",\"edits\":");
-        w.value(&self.edits);
-        w.out.push('}');
-        w.out
+        let mut out = String::new();
+        out.push_str("{\"delta_of\":");
+        write_string(&mut out, prior_hash);
+        out.push_str(",\"edits\":");
+        Canonical::default().value(&mut out, &self.edits);
+        out.push('}');
+        out
     }
 }
 

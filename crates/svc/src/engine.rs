@@ -3,11 +3,13 @@
 //! content-addressed response cache and the scheduler workers.
 //!
 //! Admission order is fixed and lock-disciplined (lock order is always
-//! jobs → queue, and the cache lock is never held with either): parse →
-//! canonical key → store lookup → build graph, platform and scheduler
-//! (422 on failure) → peer fill → join an identical in-flight job →
-//! enqueue a new one → reject with backpressure. A store hit costs a
-//! decode, a key and a hash, and builds nothing. The same canonical
+//! jobs → queue, and the cache lock is never held with either):
+//! canonical key → store lookup → decode → build graph, platform and
+//! scheduler (422 on failure) → peer fill → join an identical
+//! in-flight job → enqueue a new one → reject with backpressure. A
+//! schedule request's key is written in one pass over its bytes, so a
+//! store hit costs that pass and a hash, and builds nothing, not even
+//! a value tree. The same canonical
 //! request therefore runs the scheduler **at most once** no matter how
 //! many clients submit it concurrently, and every one of them receives
 //! byte-identical bodies.
@@ -43,8 +45,8 @@ use noc_eas::prelude::{
 use noc_platform::prelude::Platform;
 
 use crate::api::{
-    DeltaRequest, DeltaResponse, ScheduleRequest, ScheduleResponse, ValidateRequest,
-    ValidateResponse,
+    DeltaRequest, DeltaResponse, Presentation, ScheduleKey, ScheduleRequest, ScheduleResponse,
+    ValidateRequest, ValidateResponse,
 };
 use crate::cache::JobOutput;
 use crate::cluster::{
@@ -195,7 +197,7 @@ impl Job {
 
 /// Decodes a `POST /v1/schedule` or `/v1/schedule/delta` body, or
 /// returns the [`Submission::BadRequest`] its 400 answer reports.
-pub(crate) fn decode_body<T: Deserialize>(body: &str) -> Result<T, Submission> {
+fn decode_body<T: Deserialize>(body: &str) -> Result<T, Submission> {
     serde_json::from_str(body)
         .map_err(|e| Submission::BadRequest(format!("invalid request body: {e}")))
 }
@@ -739,7 +741,7 @@ impl Engine {
             let (prior, prior_key, key) = delta_keys(&request)?;
             Ok((self.resolve_delta(&request, &prior, prior_key)?, key))
         } else {
-            let request = ScheduleRequest::from_value(&value)
+            let request = ScheduleRequest::from_owned_value(value)
                 .map_err(|e| format!("journaled body unparseable: {e}"))?;
             Ok((self.resolve(&request)?, request.canonical_key()))
         }
@@ -754,36 +756,46 @@ impl Engine {
     /// Admits one `POST /v1/schedule` body.
     #[must_use]
     pub fn submit(&self, body: &str) -> Submission {
-        match decode_body(body) {
-            Ok(request) => self.submit_traced(body, &request, &TraceCtx::untraced()),
-            Err(bad) => bad,
-        }
+        self.submit_traced(body, &TraceCtx::untraced()).0
     }
 
-    /// [`submit`](Engine::submit) for a body its caller already decoded
-    /// into `request`, with the request's trace context, so peer fills
-    /// and worker-side spans attach to the caller's trace. `body` is
-    /// kept verbatim for the write-ahead journal.
+    /// [`submit`](Engine::submit) with the request's trace context, so
+    /// peer fills and worker-side spans attach to the caller's trace,
+    /// also returning the presentation members the body carried.
+    /// `body` is kept verbatim for the write-ahead journal.
     #[must_use]
-    pub fn submit_traced(
-        &self,
-        body: &str,
-        request: &ScheduleRequest,
-        trace: &TraceCtx,
-    ) -> Submission {
-        // Key → store lookup → build. A hit builds nothing. A miss
-        // builds every spec *before* peer fill, single-flight and queue,
-        // so a request that can never schedule is answered 422 and is
-        // never peer-filled, coalesced or admitted.
-        let key = request.canonical_key();
+    pub fn submit_traced(&self, body: &str, trace: &TraceCtx) -> (Submission, Presentation) {
+        // Key → store lookup → decode → build. The key comes from one
+        // pass over the bytes, so a hit builds nothing, not even a
+        // value tree. A miss decodes by value and builds every spec
+        // *before* peer fill, single-flight and queue, so a request
+        // that can never schedule is answered 422 and is never
+        // peer-filled, coalesced or admitted. A body the pass does not
+        // accept is decoded first, and answered 400 as the decode fails.
+        let (key, presentation, decoded) = match ScheduleKey::scan(body) {
+            Some(scan) => (scan.key, scan.presentation, None),
+            None => match decode_body::<ScheduleRequest>(body) {
+                Ok(request) => (
+                    request.canonical_key(),
+                    request.presentation(),
+                    Some(request),
+                ),
+                Err(bad) => return (bad, Presentation::default()),
+            },
+        };
         let id = crate::hash::content_hash(&key);
         if let Some(hit) = self.store_hit(&id, &key) {
-            return hit;
+            return (hit, presentation);
         }
-        match self.resolve(request) {
-            Ok(work) => self.admit(body, work, id, key, request.is_async(), trace),
+        let request = match decoded.map_or_else(|| decode_body(body), Ok) {
+            Ok(request) => request,
+            Err(bad) => return (bad, presentation),
+        };
+        let submission = match self.resolve(&request) {
+            Ok(work) => self.admit(body, work, id, key, presentation.is_async, trace),
             Err(e) => Submission::BadSpec(e),
-        }
+        };
+        (submission, presentation)
     }
 
     /// Admits one `POST /v1/schedule/delta` body. Delta jobs share the
@@ -792,34 +804,32 @@ impl Engine {
     /// `(prior request hash, canonical edits)`.
     #[must_use]
     pub fn submit_delta(&self, body: &str) -> Submission {
-        match decode_body(body) {
-            Ok(request) => self.submit_delta_traced(body, &request, &TraceCtx::untraced()),
-            Err(bad) => bad,
-        }
+        self.submit_delta_traced(body, &TraceCtx::untraced()).0
     }
 
-    /// [`submit_delta`](Engine::submit_delta) for an already decoded
-    /// body, with the request's trace context.
+    /// [`submit_delta`](Engine::submit_delta) with the request's trace
+    /// context, also returning its presentation members.
     #[must_use]
-    pub fn submit_delta_traced(
-        &self,
-        body: &str,
-        request: &DeltaRequest,
-        trace: &TraceCtx,
-    ) -> Submission {
-        // The admission order of `submit_traced`.
-        let (prior, prior_key, key) = match delta_keys(request) {
+    pub fn submit_delta_traced(&self, body: &str, trace: &TraceCtx) -> (Submission, Presentation) {
+        // The admission order of `submit_traced`, on the decoded body.
+        let request: DeltaRequest = match decode_body(body) {
+            Ok(request) => request,
+            Err(bad) => return (bad, Presentation::default()),
+        };
+        let presentation = request.presentation();
+        let (prior, prior_key, key) = match delta_keys(&request) {
             Ok(keys) => keys,
-            Err(e) => return Submission::BadSpec(e),
+            Err(e) => return (Submission::BadSpec(e), presentation),
         };
         let id = crate::hash::content_hash(&key);
         if let Some(hit) = self.store_hit(&id, &key) {
-            return hit;
+            return (hit, presentation);
         }
-        match self.resolve_delta(request, &prior, prior_key) {
-            Ok(work) => self.admit(body, work, id, key, request.is_async(), trace),
+        let submission = match self.resolve_delta(&request, &prior, prior_key) {
+            Ok(work) => self.admit(body, work, id, key, presentation.is_async, trace),
             Err(e) => Submission::BadSpec(e),
-        }
+        };
+        (submission, presentation)
     }
 
     /// Answers a request whose key the store holds. A hit skips every

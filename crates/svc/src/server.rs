@@ -27,9 +27,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::api::{error_body, DeltaRequest, ScheduleRequest};
+use crate::api::error_body;
 use crate::cluster::ClusterConfig;
-use crate::engine::{decode_body, Engine, EngineConfig, Job, JobPhase, Submission};
+use crate::engine::{Engine, EngineConfig, Job, JobPhase, Submission};
 use crate::http::{Request, Response};
 use crate::obs::{span_us, TraceCtx};
 
@@ -465,29 +465,15 @@ fn submission_route(
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ready(Response::json(400, error_body("request body is not UTF-8")));
     };
-    // The body is decoded once, here, and the engine admits the
-    // decoded request. `mode` only matters for fresh/joined jobs; a
-    // cached answer is final either way. `stats` is presentation-only:
-    // it selects how the stored output is rendered, never what is
-    // stored.
-    let (wants_async, wants_stats, submission) = match kind {
-        SubmitKind::Schedule => match decode_body::<ScheduleRequest>(body) {
-            Ok(r) => (
-                r.is_async(),
-                r.wants_stats(),
-                engine.submit_traced(body, &r, trace),
-            ),
-            Err(bad) => (false, false, bad),
-        },
-        SubmitKind::Delta => match decode_body::<DeltaRequest>(body) {
-            Ok(r) => (
-                r.is_async(),
-                r.wants_stats(),
-                engine.submit_delta_traced(body, &r, trace),
-            ),
-            Err(bad) => (false, false, bad),
-        },
+    // One engine call per body; it reads the presentation members on
+    // the way. `mode` only matters for fresh/joined jobs; a cached
+    // answer is final either way. `stats` selects how the stored
+    // output is rendered, never what is stored.
+    let (submission, presentation) = match kind {
+        SubmitKind::Schedule => engine.submit_traced(body, trace),
+        SubmitKind::Delta => engine.submit_delta_traced(body, trace),
     };
+    let (wants_async, wants_stats) = (presentation.is_async, presentation.wants_stats);
     match submission {
         Submission::BadRequest(msg) => ready(Response::json(400, error_body(&msg))),
         Submission::BadSpec(msg) => ready(Response::json(422, error_body(&msg))),

@@ -9,7 +9,7 @@
 //! that reach every branch of the renderer, and delta requests.
 
 use noc_ctg::prelude::{TgffConfig, TgffGenerator};
-use noc_svc::api::{DeltaRequest, ScheduleRequest};
+use noc_svc::api::{DeltaRequest, ScheduleKey, ScheduleRequest};
 use noc_svc::hash::{canonical_string, content_hash, fnv1a64};
 use serde::{Map, Number, Value};
 
@@ -325,6 +325,232 @@ fn keys_and_ids_match_their_golden_values() {
     for (got, want) in got.iter().zip(GOLDEN) {
         assert_eq!(
             (got.0, got.1, got.2, got.3.as_str()),
+            *want,
+            "computed:\n{table}"
+        );
+    }
+}
+
+/// `v` printed with whitespace around every token and inside every
+/// container.
+fn spaced(v: &Value) -> String {
+    serde_json::to_string_pretty(v)
+        .expect("serializes")
+        .replace(':', " :\t")
+        .replace(',', "\r\n ,")
+}
+
+/// `n` arrays nested around a one-member object, then `n` objects
+/// nested around an empty array: deep, but within the parser's bound.
+fn nested(n: usize) -> String {
+    let mut s = "[".repeat(n);
+    s.push_str("{\"b\":1,\"a\":2}");
+    s.push_str(&"]".repeat(n));
+    for i in 0..n {
+        s = format!("{{\"k{}\":{s},\"a\":{i}}}", n - i);
+    }
+    s
+}
+
+/// Valid `POST /v1/schedule` bodies in every odd spelling the decoder
+/// accepts, in a fixed order.
+fn odd_bodies() -> Vec<(&'static str, String)> {
+    let edf16 = tgff_graph("mesh:2x2", 16, 1);
+    vec![
+        (
+            "shuffled members and whitespace",
+            format!(
+                "\n {{\t\"scheduler\" : \"edf\" ,\r\n \"graph\":  {} , \"platform\" :\"mesh:2x2\"\n}}\n ",
+                spaced(&reversed(&edf16))
+            ),
+        ),
+        (
+            "repeated members, top-level and inside the graph",
+            r#"{"platform":"mesh:9x9","graph":{"a":1},"scheduler":"eas","faults":"tile:1","graph":{"b":[1,2],"b":{"z":0,"y":1,"z":2},"a":"first","c":{"x":1},"a":"last"},"scheduler":"edf","platform":"mesh:2x2","faults":null,"mode":"async","mode":"sync","stats":true,"stats":false}"#
+                .to_owned(),
+        ),
+        (
+            "escapes in names, keys and top-level strings",
+            r#"{"graph":{"name":"caf\u00e9 \"q\" \\ \/ \b\f\n\r\t\u0001\u001f é\ud83d\ude00","k\"ey":1,"k\\ey":2,"k\/ey":3,"\u00e9":4,"é2":5,"\u0000":6,"\t":7," ":8,"A":9,"\"":10,"\\":11,"]":12,"\u007f":13,"a\u0000b":14,"a":15},"platform":"mesh:2\u0078\u0032","scheduler":"e\u0064f","faults":"tile:\u0031"}"#
+                .to_owned(),
+        ),
+        (
+            "raw control characters in strings",
+            "{\"graph\":{\"n\u{1}\":\"a\u{1f}b\u{7f}\",\"n\t\":\"\u{0}\"},\"platform\":\"mesh:2x2\"}".to_owned(),
+        ),
+        (
+            "number spellings",
+            r#"{"graph":{"a":1.50,"b":1e2,"c":-0,"d":007,"e":-0.0,"f":98765432109876543210,"g":18446744073709551616,"h":18446744073709551615,"i":-9223372036854775808,"j":-9223372036854775809,"k":-12345678901234567890123,"l":1E+2,"m":2.5e-3,"n":0.1,"o":-7,"p":0.0,"q":100.0,"r":1.0e0,"s":-0.5,"t":123456789.125,"u":0.000001,"v":1e-7,"w":12345678901234567.0,"x":5e-324,"y":1.7976931348623157e308,"z":[0,-1,10,00,-00,0.10,1.0000000000000002]},"platform":"mesh:2x2"}"#
+                .to_owned(),
+        ),
+        (
+            "null scheduler and faults",
+            r#"{"scheduler":null,"faults":null,"graph":[],"platform":"mesh:2x2"}"#.to_owned(),
+        ),
+        (
+            "null graph, empty platform",
+            r#"{"graph":null,"platform":""}"#.to_owned(),
+        ),
+        (
+            "unknown members",
+            r#"{"graph":{"x":[true,false,null]},"threads":4,"priority":{"deep":[1,{"a":"b"}]},"platform":"mesh:2x2","comment":"\u00e9\n","extra":null,"n":-1.5e10,"":[]}"#
+                .to_owned(),
+        ),
+        (
+            "mode and stats present",
+            r#"{"mode":"async","stats":true,"graph":{"t":1},"platform":"mesh:2x2","scheduler":"dls"}"#
+                .to_owned(),
+        ),
+        (
+            "mode and stats null",
+            r#"{"mode":null,"stats":null,"graph":{"t":1},"platform":"mesh:2x2","scheduler":"dls"}"#
+                .to_owned(),
+        ),
+        (
+            "mode other than async",
+            r#"{"mode":"Async","stats":false,"graph":{"t":1},"platform":"mesh:2x2","scheduler":"dls"}"#
+                .to_owned(),
+        ),
+        (
+            "deep nesting within the bound",
+            format!(r#"{{"graph":{},"platform":"mesh:2x2"}}"#, nested(60)),
+        ),
+    ]
+}
+
+/// `(label, key length, FNV-1a of the key, content hash, async, stats)`
+/// of each odd body.
+const ODD_GOLDEN: &[(&str, usize, u64, &str, bool, bool)] = &[
+    (
+        "shuffled members and whitespace",
+        4068,
+        0x731417bbd29e949b,
+        "731417bbd29e949b5934d592b81852c6",
+        false,
+        false,
+    ),
+    (
+        "repeated members, top-level and inside the graph",
+        106,
+        0xaf5e0119cff70996,
+        "af5e0119cff70996b6b76db796d5e6db",
+        false,
+        false,
+    ),
+    (
+        "escapes in names, keys and top-level strings",
+        258,
+        0x45b8da920afbbb9d,
+        "45b8da920afbbb9d9100bc713048cb88",
+        false,
+        false,
+    ),
+    (
+        "raw control characters in strings",
+        102,
+        0xb9739908b04591b4,
+        "b9739908b04591b4474b1216bf70f8dd",
+        false,
+        false,
+    ),
+    (
+        "number spellings",
+        1094,
+        0x747ae1165d96a970,
+        "747ae1165d96a970225bbc6242d43a5d",
+        false,
+        false,
+    ),
+    (
+        "null scheduler and faults",
+        66,
+        0x23b69340c8a80a71,
+        "23b69340c8a80a711bc26f62293ae0d8",
+        false,
+        false,
+    ),
+    (
+        "null graph, empty platform",
+        60,
+        0xc9874f30f809fb71,
+        "c9874f30f809fb71cfeb90727dc02998",
+        false,
+        false,
+    ),
+    (
+        "unknown members",
+        87,
+        0x2931af3081d57247,
+        "2931af3081d57247c861cf73a5e83090",
+        false,
+        false,
+    ),
+    (
+        "mode and stats present",
+        71,
+        0x3bbd728b29f77d88,
+        "3bbd728b29f77d88b14ef29c08eccda7",
+        true,
+        true,
+    ),
+    (
+        "mode and stats null",
+        71,
+        0x3bbd728b29f77d88,
+        "3bbd728b29f77d88b14ef29c08eccda7",
+        false,
+        false,
+    ),
+    (
+        "mode other than async",
+        71,
+        0x3bbd728b29f77d88,
+        "3bbd728b29f77d88b14ef29c08eccda7",
+        false,
+        false,
+    ),
+    (
+        "deep nesting within the bound",
+        1078,
+        0xb1eb2ef5c133cc79,
+        "b1eb2ef5c133cc7980361e482cb704fc",
+        false,
+        false,
+    ),
+];
+
+#[test]
+fn odd_bodies_keep_their_golden_keys() {
+    let got: Vec<(&str, usize, u64, String, bool, bool)> = odd_bodies()
+        .into_iter()
+        .map(|(label, body)| {
+            let request = schedule_request(&body);
+            let key = request.canonical_key();
+            // The one-pass key the service answers hits with.
+            let scan =
+                ScheduleKey::scan(&body).unwrap_or_else(|| panic!("the pass rejects {label:?}"));
+            assert_eq!(scan.key, key, "{label}");
+            assert_eq!(scan.presentation, request.presentation(), "{label}");
+            (
+                label,
+                key.len(),
+                fnv1a64(key.as_bytes()),
+                content_hash(&key),
+                request.is_async(),
+                request.wants_stats(),
+            )
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(label, len, fnv, hash, is_async, stats)| {
+            format!("    ({label:?}, {len}, {fnv:#018x}, {hash:?}, {is_async}, {stats}),\n")
+        })
+        .collect();
+    assert_eq!(got.len(), ODD_GOLDEN.len(), "computed:\n{table}");
+    for (got, want) in got.iter().zip(ODD_GOLDEN) {
+        assert_eq!(
+            (got.0, got.1, got.2, got.3.as_str(), got.4, got.5),
             *want,
             "computed:\n{table}"
         );

@@ -602,3 +602,58 @@ fn malformed_graphs_answer_422_on_every_endpoint() {
     }
     server.shutdown();
 }
+
+/// A body nested 10,000 levels deep once overflowed the stack of the
+/// event loop that parsed it, which aborted the whole process. The
+/// parser now stops at 128 levels: every endpoint answers 400, naming
+/// the byte where the 129th level opens, and the one event loop that
+/// read the bodies answers `/healthz` afterwards.
+#[test]
+fn deeply_nested_bodies_answer_400_on_every_endpoint() {
+    let server = Server::start(ServiceConfig {
+        http_workers: 1,
+        ..config()
+    })
+    .expect("starts");
+    let mut c = client(&server);
+    let depth = 10_000;
+    let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let objects = format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+    let record = format!("/v1/internal/record/{}", "0".repeat(32));
+    for (path, body, want) in [
+        (
+            "/v1/schedule",
+            format!(r#"{{"graph":{arrays},"platform":"mesh:2x2"}}"#),
+            "invalid request body: nesting deeper than 128 levels at byte 136",
+        ),
+        (
+            "/v1/schedule",
+            format!(r#"{{"graph":{objects},"platform":"mesh:2x2"}}"#),
+            "invalid request body: nesting deeper than 128 levels at byte 644",
+        ),
+        (
+            "/v1/schedule/delta",
+            format!(r#"{{"prior":{objects},"edits":[]}}"#),
+            "invalid request body: nesting deeper than 128 levels at byte 644",
+        ),
+        (
+            "/v1/validate",
+            format!(r#"{{"graph":{objects},"platform":"mesh:2x2","schedule":{{}}}}"#),
+            "invalid request body: nesting deeper than 128 levels at byte 644",
+        ),
+        (
+            record.as_str(),
+            format!(r#"{{"key":{objects}}}"#),
+            "invalid record envelope: nesting deeper than 128 levels at byte 642",
+        ),
+    ] {
+        let resp = c.post(path, &body).expect("answers");
+        assert_eq!(
+            (resp.status, resp.body.as_str()),
+            (400, noc_svc::api::error_body(want).as_str()),
+            "{path}"
+        );
+    }
+    assert_eq!(c.get("/healthz").expect("healthz").status, 200);
+    server.shutdown();
+}
