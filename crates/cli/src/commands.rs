@@ -577,6 +577,17 @@ fn validate_cmd(args: &Args) -> Result<String, String> {
 }
 
 fn serve(args: &Args) -> Result<String, String> {
+    let server = noc_svc::Server::start(serve_config(args)?).map_err(|e| e.to_string())?;
+    // Announce readiness eagerly: wait() blocks until the process is
+    // signalled, so this line must not wait for run() to return.
+    println!("noc-svc listening on http://{}", server.addr());
+    server.wait();
+    Ok(String::new())
+}
+
+/// The service configuration `noceas serve` runs with: each option
+/// given, and `ServiceConfig::default()` for the rest.
+fn serve_config(args: &Args) -> Result<noc_svc::ServiceConfig, String> {
     args.accept(
         "serve",
         "addr http-workers sched-workers queue cache budget-ms journal \
@@ -584,25 +595,28 @@ fn serve(args: &Args) -> Result<String, String> {
          anti-entropy-ms flight-recorder-entries slow-ms log-json",
         "",
     )?;
-    let peers = match args.get("peers") {
-        None => Vec::new(),
-        Some(list) => list
-            .split(',')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(str::to_owned)
-            .collect(),
+    let defaults = noc_svc::ServiceConfig::default();
+    let millis = |key: &str, default: std::time::Duration| {
+        args.get_num(key, default.as_millis() as u64)
+            .map(std::time::Duration::from_millis)
     };
-    let config = noc_svc::ServiceConfig {
-        addr: args.get_or("addr", "127.0.0.1:8533").to_owned(),
-        peers,
+    let at_least_1ms = std::time::Duration::from_millis(1);
+    Ok(noc_svc::ServiceConfig {
+        addr: args.get_or("addr", &defaults.addr).to_owned(),
+        peers: args.get("peers").map_or_else(Vec::new, |list| {
+            list.split(',')
+                .map(str::trim)
+                .filter(|p| !p.is_empty())
+                .map(str::to_owned)
+                .collect()
+        }),
         self_addr: args.get("self-addr").map(str::to_owned),
-        http_workers: args.get_num("http-workers", 4usize)?,
-        sched_workers: args.get_num("sched-workers", 2usize)?,
-        queue_capacity: args.get_num("queue", 64usize)?,
-        cache_capacity: args.get_num("cache", 1024usize)?,
+        http_workers: args.get_num("http-workers", defaults.http_workers)?,
+        sched_workers: args.get_num("sched-workers", defaults.sched_workers)?,
+        queue_capacity: args.get_num("queue", defaults.queue_capacity)?,
+        cache_capacity: args.get_num("cache", defaults.cache_capacity)?,
         budget_ms: match args.get("budget-ms") {
-            None => None,
+            None => defaults.budget_ms,
             Some(text) => Some(
                 text.parse()
                     .map_err(|_| format!("bad --budget-ms `{text}` (milliseconds)"))?,
@@ -610,26 +624,16 @@ fn serve(args: &Args) -> Result<String, String> {
         },
         journal: args.get("journal").map(str::to_owned),
         store_dir: args.get("store-dir").map(str::to_owned),
-        store_segment_bytes: args
-            .get_num("store-segment-bytes", noc_svc::store::DEFAULT_SEGMENT_BYTES)?,
-        peer_timeout: std::time::Duration::from_millis(
-            args.get_num("peer-timeout-ms", 1000u64)?.max(1),
-        ),
-        probe_interval: std::time::Duration::from_millis(args.get_num("probe-ms", 250u64)?.max(1)),
-        anti_entropy_interval: std::time::Duration::from_millis(
-            args.get_num("anti-entropy-ms", 2000u64)?,
-        ),
-        flight_recorder_entries: args.get_num("flight-recorder-entries", 4096usize)?,
-        slow_ms: args.get_num("slow-ms", 250u64)?,
+        store_segment_bytes: args.get_num("store-segment-bytes", defaults.store_segment_bytes)?,
+        peer_timeout: millis("peer-timeout-ms", defaults.peer_timeout)?.max(at_least_1ms),
+        probe_interval: millis("probe-ms", defaults.probe_interval)?.max(at_least_1ms),
+        anti_entropy_interval: millis("anti-entropy-ms", defaults.anti_entropy_interval)?,
+        flight_recorder_entries: args
+            .get_num("flight-recorder-entries", defaults.flight_recorder_entries)?,
+        slow_ms: args.get_num("slow-ms", defaults.slow_ms)?,
         log_json: args.get("log-json").map(str::to_owned),
-        ..noc_svc::ServiceConfig::default()
-    };
-    let server = noc_svc::Server::start(config).map_err(|e| e.to_string())?;
-    // Announce readiness eagerly: wait() blocks until the process is
-    // signalled, so this line must not wait for run() to return.
-    println!("noc-svc listening on http://{}", server.addr());
-    server.wait();
-    Ok(String::new())
+        ..defaults
+    })
 }
 
 fn simulate(args: &Args) -> Result<String, String> {
@@ -1255,6 +1259,15 @@ mod tests {
     fn stray_positionals_still_fail_outside_cluster() {
         let err = run(&args(&["schedule", "stray"])).unwrap_err();
         assert!(err.contains("unexpected positional argument `stray`"));
+    }
+
+    #[test]
+    fn serve_without_options_runs_the_default_service_config() {
+        let config = serve_config(&args(&["serve"])).expect("builds");
+        assert_eq!(
+            format!("{config:?}"),
+            format!("{:?}", noc_svc::ServiceConfig::default())
+        );
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Content-addressed LRU cache of rendered schedule responses.
 //!
-//! Keys are *canonical request strings* (see [`crate::hash`]): two
-//! requests that describe the same (CTG, platform, faults, config)
-//! problem — regardless of JSON key order, whitespace or volatile
-//! fields like `mode` — share one entry. Values are the exact response
-//! bodies served to clients, so a hit returns bytes identical to the
-//! cold run.
+//! Entries are addressed by the [`ContentHash`] of their *canonical
+//! request string* (see [`crate::hash`]): two requests that describe
+//! the same (CTG, platform, faults, config) problem — regardless of
+//! JSON key order, whitespace or volatile fields like `mode` — share one
+//! entry. Each entry keeps its full key, which keyed lookups compare,
+//! so two keys whose hashes collide never share bytes. Values are the
+//! exact response bodies served to clients, so a hit returns bytes
+//! identical to the cold run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+
+use crate::hash::ContentHash;
 
 /// A finished schedule as served to clients: the rendered response body
 /// plus whether it came from the degraded EDF fallback. The flag rides
@@ -39,16 +43,18 @@ impl JobOutput {
     }
 }
 
-/// Bounded LRU map from canonical request to rendered response body.
+/// Bounded LRU map from content hash to canonical request and rendered
+/// response body.
 #[derive(Debug)]
 pub struct ScheduleCache {
     capacity: usize,
     tick: u64,
-    entries: HashMap<String, Entry>,
+    entries: HashMap<ContentHash, Entry>,
 }
 
 #[derive(Debug)]
 struct Entry {
+    key: String,
     output: JobOutput,
     last_used: u64,
 }
@@ -65,61 +71,51 @@ impl ScheduleCache {
         }
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<JobOutput> {
+    /// The entry at `hash` — its stored key and output — refreshing its
+    /// recency. Callers holding a key compare it with the stored one.
+    pub fn get(&mut self, hash: ContentHash) -> Option<(&str, JobOutput)> {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
+        self.entries.get_mut(&hash).map(|e| {
             e.last_used = tick;
-            e.output.clone()
+            (e.key.as_str(), e.output.clone())
         })
     }
 
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry when the cache is full. Eviction scans all entries — O(n),
-    /// fine for the few-thousand-entry caches this service runs with.
-    pub fn insert(&mut self, key: String, output: JobOutput) {
+    /// Inserts (or replaces) the entry at `hash`, evicting the
+    /// least-recently-used entry when the cache is full. Eviction scans
+    /// all entries — O(n), fine for the few-thousand-entry caches this
+    /// service runs with.
+    pub fn insert(&mut self, hash: ContentHash, key: String, output: JobOutput) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+        if !self.entries.contains_key(&hash) && self.entries.len() >= self.capacity {
             if let Some(lru) = self
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(h, _)| *h)
             {
                 self.entries.remove(&lru);
             }
         }
         let tick = self.tick;
         self.entries.insert(
-            key,
+            hash,
             Entry {
+                key,
                 output,
                 last_used: tick,
             },
         );
     }
 
-    /// `true` when `key` is resident, without refreshing its recency
-    /// — enumeration passes must not perturb the LRU order.
+    /// The content hashes of every cached response.
     #[must_use]
-    pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Number of cached responses.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn hashes(&self) -> Vec<ContentHash> {
+        self.entries.keys().copied().collect()
     }
 }
 
@@ -131,56 +127,69 @@ mod tests {
         JobOutput::new(Arc::new(s.to_owned()))
     }
 
+    /// Inserts `key` at its own content hash.
+    fn put(c: &mut ScheduleCache, key: &str, output: JobOutput) {
+        c.insert(ContentHash::of(key), key.to_owned(), output);
+    }
+
+    /// The output stored under `key`, when the entry at its hash holds it.
+    fn get(c: &mut ScheduleCache, key: &str) -> Option<JobOutput> {
+        let (stored, output) = c.get(ContentHash::of(key))?;
+        (stored == key).then_some(output)
+    }
+
     #[test]
     fn hit_returns_the_inserted_bytes() {
         let mut c = ScheduleCache::new(4);
-        assert!(c.get("k").is_none());
-        c.insert("k".into(), body("payload"));
-        assert_eq!(c.get("k").expect("hit").body.as_str(), "payload");
+        assert!(get(&mut c, "k").is_none());
+        put(&mut c, "k", body("payload"));
+        assert_eq!(get(&mut c, "k").expect("hit").body.as_str(), "payload");
+        assert_eq!(c.hashes(), vec![ContentHash::of("k")]);
     }
 
     #[test]
     fn degraded_flag_survives_the_cache() {
         let mut c = ScheduleCache::new(4);
-        c.insert(
-            "k".into(),
+        put(
+            &mut c,
+            "k",
             JobOutput {
                 body: Arc::new("fallback".to_owned()),
                 degraded: true,
                 stats: None,
             },
         );
-        let hit = c.get("k").expect("hit");
+        let hit = get(&mut c, "k").expect("hit");
         assert!(hit.degraded, "hits must reproduce the Degraded-Mode flag");
     }
 
     #[test]
     fn eviction_removes_the_least_recently_used() {
         let mut c = ScheduleCache::new(2);
-        c.insert("a".into(), body("A"));
-        c.insert("b".into(), body("B"));
-        assert!(c.get("a").is_some()); // a is now fresher than b
-        c.insert("c".into(), body("C"));
-        assert!(c.get("b").is_none(), "b was LRU and must be evicted");
-        assert!(c.get("a").is_some());
-        assert!(c.get("c").is_some());
-        assert_eq!(c.len(), 2);
+        put(&mut c, "a", body("A"));
+        put(&mut c, "b", body("B"));
+        assert!(get(&mut c, "a").is_some()); // a is now fresher than b
+        put(&mut c, "c", body("C"));
+        assert!(get(&mut c, "b").is_none(), "b was LRU and must be evicted");
+        assert!(get(&mut c, "a").is_some());
+        assert!(get(&mut c, "c").is_some());
+        assert_eq!(c.hashes().len(), 2);
     }
 
     #[test]
     fn reinsert_refreshes_without_growing() {
         let mut c = ScheduleCache::new(2);
-        c.insert("a".into(), body("A"));
-        c.insert("a".into(), body("A2"));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get("a").expect("hit").body.as_str(), "A2");
+        put(&mut c, "a", body("A"));
+        put(&mut c, "a", body("A2"));
+        assert_eq!(c.hashes(), vec![ContentHash::of("a")]);
+        assert_eq!(get(&mut c, "a").expect("hit").body.as_str(), "A2");
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = ScheduleCache::new(0);
-        c.insert("a".into(), body("A"));
-        assert!(c.get("a").is_none());
-        assert!(c.is_empty());
+        put(&mut c, "a", body("A"));
+        assert!(get(&mut c, "a").is_none());
+        assert!(c.hashes().is_empty());
     }
 }

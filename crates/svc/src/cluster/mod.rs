@@ -27,8 +27,8 @@
 //!   the newest record is the one most likely to be requested) and
 //!   are retried when the detector lets the peer through again.
 //! - **Anti-entropy.** A periodic sweep exchanges store digests
-//!   (`GET /v1/internal/digest`, the store-index key lanes rendered
-//!   as 32-hex ids) with each live peer and re-enqueues any record
+//!   (`GET /v1/internal/digest`, the content hashes of the records a
+//!   node holds, as 32-hex ids) with each live peer and re-enqueues any record
 //!   the peer should hold but does not — so a peer that was down,
 //!   partitioned or overflowed converges back to full owner+successor
 //!   replication without operator action.
@@ -281,9 +281,9 @@ impl RecordEnvelope {
 }
 
 /// The body of `GET /v1/internal/digest`: every record id this node
-/// durably holds, as 32-hex content hashes (the store-index key
-/// lanes). Peers compare it against their own holdings to find
-/// records the node missed.
+/// holds — its disk index while the disk tier is in service, else its
+/// memory tier — as 32-hex content hashes. Peers compare it against
+/// their own holdings to find records the node missed.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Digest {
     /// The answering node's ring identity.

@@ -52,6 +52,7 @@ use crate::cache::JobOutput;
 use crate::cluster::{
     Cluster, ClusterConfig, ClusterObs, ClusterStats, RecordEnvelope, RecordSource,
 };
+use crate::hash::ContentHash;
 use crate::journal::{Journal, Record};
 use crate::metrics::Metrics;
 use crate::obs::{span_us, LogLevel, Recorder, ServiceLog, TraceCtx};
@@ -94,9 +95,10 @@ enum JobWork {
         prior_platform: Box<Platform>,
         prior_scheduler: Box<dyn Scheduler + Send + Sync>,
         prior_scheduler_name: String,
-        /// Canonical cache key of the prior request — the warm-start
-        /// lookup handle.
+        /// Canonical cache key of the prior request and its content
+        /// hash — the warm-start lookup handle.
         prior_key: String,
+        prior_hash: ContentHash,
         /// The *edited* platform.
         platform: Box<Platform>,
         applied: AppliedEdits,
@@ -319,19 +321,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Bounded id → canonical-key map maintained in cluster mode, so the
-/// internal lookup endpoint can resolve memory-tier records by their
-/// 32-hex hash (disk-tier records resolve through the store index,
-/// which is keyed on the hash's own lanes).
-struct HashIndex {
-    map: HashMap<String, String>,
-    order: VecDeque<String>,
-}
-
-/// Retention bound of the id → key map; sized above the default
-/// memory cache so LRU-resident records always resolve.
-const HASH_INDEX_RETAINED: usize = 8192;
-
 /// The scheduling engine: admission, cache, queue and workers.
 pub struct Engine {
     config: EngineConfig,
@@ -343,8 +332,6 @@ pub struct Engine {
     journal: Option<Journal>,
     /// Cluster membership and peer I/O; `None` in single-node mode.
     cluster: Option<Cluster>,
-    /// Cluster-mode id → key resolution for memory-tier records.
-    hash_keys: Mutex<HashIndex>,
     /// The service-wide metrics registry.
     pub metrics: Metrics,
     /// The node's flight recorder (request span trees + slow ring).
@@ -444,10 +431,6 @@ impl Engine {
             }),
             journal,
             cluster,
-            hash_keys: Mutex::new(HashIndex {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-            }),
             metrics,
             recorder,
             log,
@@ -539,11 +522,11 @@ impl Engine {
                     self.restore_finished(&id, JobPhase::Done(output));
                 }
                 Some(Record::DoneStored { .. }) => {
-                    // The store index is keyed on the id's own lanes; a
-                    // record counts only if its stored key hashes back
-                    // to the id. The read re-verifies the checksum, so a
-                    // quarantined or degraded store falls through to a
-                    // re-run — never to wrong bytes.
+                    // Both store tiers are addressed by the id's own
+                    // content hash; a record counts only if its stored
+                    // key hashes back to the id. A disk read re-verifies
+                    // the checksum, so a quarantined or degraded store
+                    // falls through to a re-run — never to wrong bytes.
                     match self.lookup_record(&id) {
                         Some((_, output)) => {
                             from_store += 1;
@@ -698,12 +681,14 @@ impl Engine {
 
     /// Builds the runnable work of a parsed delta request: the prior
     /// problem and the edit sequence applied to its graph and platform.
-    /// `prior_key` is the prior request's canonical key.
+    /// `prior_key` is the prior request's canonical key, `prior_hash`
+    /// its content hash.
     fn resolve_delta(
         &self,
         request: &DeltaRequest,
         prior: &ScheduleRequest,
         prior_key: String,
+        prior_hash: ContentHash,
     ) -> Result<JobWork, String> {
         let prior_spec = PlatformSpec::parse(&prior.platform, prior.faults.as_deref())?;
         let prior_graph =
@@ -719,6 +704,7 @@ impl Engine {
             .map_err(|e| format!("inapplicable edits: {e}"))?;
         Ok(JobWork::Delta {
             prior_key,
+            prior_hash,
             prior_graph,
             prior_platform: Box::new(prior_platform),
             prior_scheduler,
@@ -738,8 +724,9 @@ impl Engine {
         if value.as_object().is_some_and(|o| o.get("prior").is_some()) {
             let request = DeltaRequest::from_value(&value)
                 .map_err(|e| format!("journaled body unparseable: {e}"))?;
-            let (prior, prior_key, key) = delta_keys(&request)?;
-            Ok((self.resolve_delta(&request, &prior, prior_key)?, key))
+            let (prior, prior_key, prior_hash, key) = delta_keys(&request)?;
+            let work = self.resolve_delta(&request, &prior, prior_key, prior_hash)?;
+            Ok((work, key))
         } else {
             let request = ScheduleRequest::from_owned_value(value)
                 .map_err(|e| format!("journaled body unparseable: {e}"))?;
@@ -766,12 +753,13 @@ impl Engine {
     #[must_use]
     pub fn submit_traced(&self, body: &str, trace: &TraceCtx) -> (Submission, Presentation) {
         // Key → store lookup → decode → build. The key comes from one
-        // pass over the bytes, so a hit builds nothing, not even a
-        // value tree. A miss decodes by value and builds every spec
-        // *before* peer fill, single-flight and queue, so a request
-        // that can never schedule is answered 422 and is never
-        // peer-filled, coalesced or admitted. A body the pass does not
-        // accept is decoded first, and answered 400 as the decode fails.
+        // pass over the bytes and is hashed once, so a hit builds
+        // nothing, not even a value tree. A miss decodes by value and
+        // builds every spec *before* peer fill, single-flight and
+        // queue, so a request that can never schedule is answered 422
+        // and is never peer-filled, coalesced or admitted. A body the
+        // pass does not accept is decoded first, and answered 400 as
+        // the decode fails.
         let (key, presentation, decoded) = match ScheduleKey::scan(body) {
             Some(scan) => (scan.key, scan.presentation, None),
             None => match decode_body::<ScheduleRequest>(body) {
@@ -783,8 +771,8 @@ impl Engine {
                 Err(bad) => return (bad, Presentation::default()),
             },
         };
-        let id = crate::hash::content_hash(&key);
-        if let Some(hit) = self.store_hit(&id, &key) {
+        let hash = ContentHash::of(&key);
+        if let Some(hit) = self.store_hit(hash, &key) {
             return (hit, presentation);
         }
         let request = match decoded.map_or_else(|| decode_body(body), Ok) {
@@ -792,7 +780,7 @@ impl Engine {
             Err(bad) => return (bad, presentation),
         };
         let submission = match self.resolve(&request) {
-            Ok(work) => self.admit(body, work, id, key, presentation.is_async, trace),
+            Ok(work) => self.admit(body, work, hash, key, presentation.is_async, trace),
             Err(e) => Submission::BadSpec(e),
         };
         (submission, presentation)
@@ -817,29 +805,29 @@ impl Engine {
             Err(bad) => return (bad, Presentation::default()),
         };
         let presentation = request.presentation();
-        let (prior, prior_key, key) = match delta_keys(&request) {
+        let (prior, prior_key, prior_hash, key) = match delta_keys(&request) {
             Ok(keys) => keys,
             Err(e) => return (Submission::BadSpec(e), presentation),
         };
-        let id = crate::hash::content_hash(&key);
-        if let Some(hit) = self.store_hit(&id, &key) {
+        let hash = ContentHash::of(&key);
+        if let Some(hit) = self.store_hit(hash, &key) {
             return (hit, presentation);
         }
-        let submission = match self.resolve_delta(&request, &prior, prior_key) {
-            Ok(work) => self.admit(body, work, id, key, presentation.is_async, trace),
+        let submission = match self.resolve_delta(&request, &prior, prior_key, prior_hash) {
+            Ok(work) => self.admit(body, work, hash, key, presentation.is_async, trace),
             Err(e) => Submission::BadSpec(e),
         };
         (submission, presentation)
     }
 
-    /// Answers a request whose key the store holds. A hit skips every
-    /// build: the stored bytes were computed from this exact key.
-    fn store_hit(&self, id: &str, key: &str) -> Option<Submission> {
-        let output = self.store.get(key)?;
+    /// Answers a request whose key the store holds at `hash`. A hit
+    /// skips every build: the stored bytes were computed from this
+    /// exact key.
+    fn store_hit(&self, hash: ContentHash, key: &str) -> Option<Submission> {
+        let output = self.store.get_at(hash, key)?;
         self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.note_hash(id, key);
         Some(Submission::Cached {
-            id: id.to_owned(),
+            id: hash.to_string(),
             output,
         })
     }
@@ -851,12 +839,13 @@ impl Engine {
         &self,
         body: &str,
         work: JobWork,
-        id: String,
+        hash: ContentHash,
         key: String,
         is_async: bool,
         trace: &TraceCtx,
     ) -> Submission {
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let id = hash.to_string();
 
         // Peer cache-fill: before scheduling locally, ask the nodes
         // that own this hash for their stored bytes. A hit is served
@@ -1190,6 +1179,7 @@ impl Engine {
             prior_scheduler,
             prior_scheduler_name,
             prior_key,
+            prior_hash,
             platform,
             applied,
         } = work
@@ -1202,7 +1192,10 @@ impl Engine {
         // (EDF-fallback) entry is ignored — warm-starting from it
         // would make the answer depend on *when* the prior ran, so
         // the prior is recomputed in full instead.
-        let cached = self.store.get(prior_key).filter(|output| !output.degraded);
+        let cached = self
+            .store
+            .get_at(*prior_hash, prior_key)
+            .filter(|output| !output.degraded);
         let prior_schedule = match cached {
             Some(output) => {
                 self.metrics
@@ -1222,9 +1215,8 @@ impl Engine {
                 // Populate the store so the prior request itself (and
                 // the next delta against it) is served without work.
                 let response = ScheduleResponse::from_outcome(prior_scheduler_name, &outcome);
-                let prior_id = crate::hash::content_hash(prior_key);
                 self.store_output(
-                    &prior_id,
+                    &prior_hash.to_string(),
                     prior_key,
                     &JobOutput::new(Arc::new(response.to_json())),
                 );
@@ -1326,42 +1318,27 @@ impl Engine {
         self.cluster.as_ref()
     }
 
-    /// Stores a finished output: the memory tier always, the disk
-    /// tier only when this node owns or replicates the hash (every
-    /// node in single-node mode). Also indexes id → key for the
-    /// internal lookup endpoint. Returns disk durability.
+    /// Stores a finished output at its id's content hash: the memory
+    /// tier always, the disk tier only when this node owns or
+    /// replicates the hash (every node in single-node mode). Returns
+    /// disk durability.
     fn store_output(&self, id: &str, key: &str, output: &JobOutput) -> bool {
-        self.note_hash(id, key);
+        // Every id is a rendered content hash, so this never fails.
+        let Some(hash) = ContentHash::parse(id) else {
+            return false;
+        };
         let write_disk = self
             .cluster
             .as_ref()
             .is_none_or(|cluster| cluster.stores_locally(id));
-        self.store.insert_tiered(key, output, write_disk)
-    }
-
-    /// Records `id → key` in the bounded cluster hash index (no-op in
-    /// single-node mode — nothing queries by bare hash there).
-    fn note_hash(&self, id: &str, key: &str) {
-        if self.cluster.is_none() {
-            return;
-        }
-        let mut index = self.hash_keys.lock().expect("hash index lock");
-        if index.map.insert(id.to_owned(), key.to_owned()).is_none() {
-            index.order.push_back(id.to_owned());
-            while index.order.len() > HASH_INDEX_RETAINED {
-                if let Some(old) = index.order.pop_front() {
-                    index.map.remove(&old);
-                }
-            }
-        }
+        self.store.insert_at(hash, key, output, write_disk)
     }
 
     /// Serves one internal `GET /v1/internal/lookup/<hash>`: resolves
-    /// the 32-hex content hash to the stored record, first through
-    /// the id → key index (memory or disk), then straight through the
-    /// disk index, whose keys *are* the hash's two 64-bit lanes. The
-    /// resolved record's key is re-hashed and compared to `hash`, so
-    /// a lane collision can never leak another request's bytes.
+    /// the 32-hex content hash to the stored record, memory tier first,
+    /// then disk. Both tiers are addressed by the hash itself, and the
+    /// record's key must hash back to it, so a collision can never
+    /// leak another request's bytes.
     #[must_use]
     pub fn internal_lookup(&self, hash: &str) -> Option<(String, JobOutput)> {
         let resolved = self.lookup_record(hash)?;
@@ -1377,26 +1354,8 @@ impl Engine {
     /// Resolves a 32-hex content hash to its stored record without
     /// touching the peer-lookup counters — shared by the internal
     /// lookup endpoint, the anti-entropy sweep and journal replay.
-    fn lookup_record(&self, hash: &str) -> Option<(String, JobOutput)> {
-        let noted = self
-            .hash_keys
-            .lock()
-            .expect("hash index lock")
-            .map
-            .get(hash)
-            .cloned();
-        let resolved = match noted {
-            Some(key) => self.store.get(&key).map(|output| (key, output)),
-            None => None,
-        };
-        resolved.or_else(|| {
-            let (key, output) = self.store.get_by_lanes(parse_hash_lanes(hash)?)?;
-            if crate::hash::content_hash(&key) != hash {
-                return None;
-            }
-            self.note_hash(hash, &key);
-            Some((key, output))
-        })
+    fn lookup_record(&self, id: &str) -> Option<(String, JobOutput)> {
+        self.store.get_by_id(ContentHash::parse(id)?)
     }
 
     /// The record ids this node *durably* holds — the body of
@@ -1407,13 +1366,10 @@ impl Engine {
     /// records instead.
     #[must_use]
     pub fn digest_ids(&self) -> Vec<String> {
-        let mut ids = match self.store.disk() {
-            Some(disk) if !disk.is_degraded() => lanes_to_ids(disk.indexed_lanes()),
-            _ => self.memory_held_ids(),
-        };
-        ids.sort();
-        ids.dedup();
-        ids
+        ids_of(match self.store.disk() {
+            Some(disk) if !disk.is_degraded() => disk.indexed(),
+            _ => self.store.memory_hashes(),
+        })
     }
 
     /// Every id this node can push during anti-entropy: the disk tier
@@ -1421,25 +1377,9 @@ impl Engine {
     /// not own on disk (e.g. computed during a partition) and must
     /// still be able to push them to their owners.
     fn replicable_ids(&self) -> Vec<String> {
-        let mut ids = match self.store.disk() {
-            Some(disk) if !disk.is_degraded() => lanes_to_ids(disk.indexed_lanes()),
-            _ => Vec::new(),
-        };
-        ids.extend(self.memory_held_ids());
-        ids.sort();
-        ids.dedup();
-        ids
-    }
-
-    /// Noted ids whose records are resident in the memory tier.
-    fn memory_held_ids(&self) -> Vec<String> {
-        let index = self.hash_keys.lock().expect("hash index lock");
-        index
-            .map
-            .iter()
-            .filter(|(_, key)| self.store.contains_memory(key))
-            .map(|(id, _)| id.clone())
-            .collect()
+        let mut hashes = self.store.disk().map_or_else(Vec::new, Store::indexed);
+        hashes.extend(self.store.memory_hashes());
+        ids_of(hashes)
     }
 
     /// Applies one internal `POST /v1/internal/record/<hash>` body: a
@@ -1517,33 +1457,23 @@ fn edf_fallback(
     })
 }
 
-/// Renders store-index lanes back into 32-hex content hashes — the
-/// inverse of [`parse_hash_lanes`].
-fn lanes_to_ids(lanes: Vec<(u64, u64)>) -> Vec<String> {
-    lanes
-        .into_iter()
-        .map(|(a, b)| format!("{a:016x}{b:016x}"))
-        .collect()
-}
-
-/// Splits a 32-hex content hash back into the two 64-bit lanes the
-/// store index is keyed on.
-fn parse_hash_lanes(hash: &str) -> Option<(u64, u64)> {
-    if hash.len() != 32 {
-        return None;
-    }
-    let a = u64::from_str_radix(&hash[..16], 16).ok()?;
-    let b = u64::from_str_radix(&hash[16..], 16).ok()?;
-    Some((a, b))
+/// Renders content hashes as sorted, distinct 32-hex ids.
+fn ids_of(mut hashes: Vec<ContentHash>) -> Vec<String> {
+    hashes.sort_unstable();
+    hashes.dedup();
+    hashes.iter().map(ContentHash::to_string).collect()
 }
 
 /// The keys of a delta request: its parsed prior request, the prior's
-/// canonical key and the delta's own key.
-fn delta_keys(request: &DeltaRequest) -> Result<(ScheduleRequest, String, String), String> {
+/// canonical key and content hash, and the delta's own key.
+fn delta_keys(
+    request: &DeltaRequest,
+) -> Result<(ScheduleRequest, String, ContentHash, String), String> {
     let prior = request.prior_request()?;
     let prior_key = prior.canonical_key();
-    let key = request.canonical_key_for(&crate::hash::content_hash(&prior_key));
-    Ok((prior, prior_key, key))
+    let prior_hash = ContentHash::of(&prior_key);
+    let key = request.canonical_key_for(&prior_hash.to_string());
+    Ok((prior, prior_key, prior_hash, key))
 }
 
 /// Re-derives the cache key of a journaled request body (either

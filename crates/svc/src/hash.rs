@@ -6,11 +6,12 @@
 //! sorted ascending at every nesting level, arrays keep their order
 //! (JSON arrays are ordered data), and numbers/strings print exactly as
 //! the vendored `serde_json` writer prints them. The canonical string is
-//! the cache key, and [`content_hash`] derives the short hex job id
-//! shown in URLs and logs. A schedule request's key renders the whole
-//! problem, so two schedule requests collide only if their canonical
-//! JSON does. A delta request's key holds its prior request only as
-//! that prior's 128-bit content hash (see
+//! the cache key: its [`ContentHash`] addresses the stored record and
+//! renders as the short hex job id shown in URLs and logs, and the key
+//! itself is compared on every keyed hit. A schedule request's key
+//! renders the whole problem, so two schedule requests collide only if
+//! their canonical JSON does. A delta request's key holds its prior
+//! request only as that prior's 128-bit content hash (see
 //! [`DeltaRequest::canonical_key`](crate::api::DeltaRequest::canonical_key)),
 //! so two priors whose hashes collide share delta answers.
 //!
@@ -20,7 +21,7 @@
 //! ([`ScheduleKey::scan`](crate::api::ScheduleKey::scan)). Both use the
 //! same number and string writers, so they agree byte for byte.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use serde::{Number, Value};
 use serde_json::{Error, Reader, Token};
@@ -587,46 +588,66 @@ impl<'a> TextCanonical<'a> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// 64-bit FNV-1a over `bytes`, starting from `seed`.
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    bytes
-        .iter()
-        .fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// 64-bit FNV-1a over `bytes` from the standard offset basis — the
 /// record checksum of the crash-safe job journal ([`crate::journal`]).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a(bytes, FNV_OFFSET)
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
-/// The two independent 64-bit FNV-1a lanes behind [`content_hash`],
-/// exposed numerically so the persistent store's packed index
-/// ([`crate::store`]) can record them without hex round-trips.
-#[must_use]
-pub(crate) fn hash_lanes(bytes: &[u8]) -> (u64, u64) {
-    // One loop, two independent multiply chains: the CPU overlaps them,
-    // so both lanes cost about what one did.
-    let (mut a, mut b) = (FNV_OFFSET, FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15);
-    for &byte in bytes {
-        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+/// The 128-bit content hash of a canonical key: two independent 64-bit
+/// FNV-1a lanes (distinct seeds), computed in one pass. It is the
+/// address of the key's record in both tiers of the schedule store
+/// ([`crate::store`]), whose packed index records the lanes as they
+/// are, and its 32-hex rendering (`Display`) is the job id, which
+/// [`ContentHash::parse`] reads back without the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ContentHash(pub(crate) u64, pub(crate) u64);
+
+impl ContentHash {
+    /// Hashes `canonical`.
+    #[must_use]
+    pub fn of(canonical: &str) -> ContentHash {
+        // One loop, two independent multiply chains: the CPU overlaps
+        // them, so both lanes cost about what one did.
+        let (mut a, mut b) = (FNV_OFFSET, FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15);
+        for &byte in canonical.as_bytes() {
+            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+        ContentHash(a, b)
     }
-    (a, b)
+
+    /// Reads a job id back: `None` unless `id` is 32 lowercase hex
+    /// digits, the one spelling `Display` writes.
+    #[must_use]
+    pub fn parse(id: &str) -> Option<ContentHash> {
+        if id.len() != 32 || !id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        let lane = |hex: &str| u64::from_str_radix(hex, 16).ok();
+        Some(ContentHash(lane(&id[..16])?, lane(&id[16..])?))
+    }
 }
 
-/// 32-hex-digit content hash of a canonical string: two independent
-/// 64-bit FNV-1a lanes (distinct seeds). Used as the job id; the cache
-/// itself is keyed by the full canonical string, so for schedule
-/// requests a hash collision can at worst alias two job-status URLs,
-/// never corrupt a cached schedule. Delta keys embed their prior's
-/// content hash instead of its canonical string, so a collision between
-/// two priors does make their delta requests share cached answers.
+impl fmt::Display for ContentHash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}{:016x}", self.0, self.1)
+    }
+}
+
+/// The job id of a canonical string: its [`ContentHash`] in 32 hex
+/// digits. Both store tiers compare the full canonical key on every
+/// keyed hit, so for schedule requests a hash collision can at worst
+/// alias two job-status URLs, never serve one request's schedule for
+/// another. Delta keys embed their prior's content hash instead of its
+/// canonical string, so a collision between two priors does make their
+/// delta requests share cached answers.
 #[must_use]
 pub fn content_hash(canonical: &str) -> String {
-    let (a, b) = hash_lanes(canonical.as_bytes());
-    format!("{a:016x}{b:016x}")
+    ContentHash::of(canonical).to_string()
 }
 
 #[cfg(test)]
@@ -799,5 +820,9 @@ mod tests {
         assert!(h.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(h, content_hash("hello"));
         assert_ne!(h, content_hash("hello!"));
+        assert_eq!(ContentHash::parse(&h), Some(ContentHash::of("hello")));
+        for bad in [&h[1..], &h.to_uppercase(), &format!("+{}", &h[1..])] {
+            assert_eq!(ContentHash::parse(bad), None, "{bad}");
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::hash::fnv1a64;
+use crate::hash::{fnv1a64, ContentHash};
 
 const MAGIC: &[u8; 8] = b"NOCSIDX1";
 const ENTRY_BYTES: usize = 8 + 8 + 8 + 4;
@@ -29,8 +29,8 @@ const ENTRY_BYTES: usize = 8 + 8 + 8 + 4;
 /// One index entry: where a key's record lives in the segment log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IndexEntry {
-    /// The two FNV-1a lanes of the record key.
-    pub lanes: (u64, u64),
+    /// The content hash of the record key.
+    pub hash: ContentHash,
     /// Byte offset of the frame start within the segment log.
     pub offset: u64,
     /// Whole-frame length (header + payload).
@@ -45,7 +45,7 @@ fn sibling_tmp(path: &Path) -> PathBuf {
 
 /// Writes the index for one sealed segment atomically: temp file in the
 /// same directory, then rename over the final name. Entries are stored
-/// sorted by lanes (ties broken by offset, so a later duplicate of the
+/// sorted by hash (ties broken by offset, so a later duplicate of the
 /// same key orders after — and on load overrides — an earlier one).
 ///
 /// # Errors
@@ -54,14 +54,14 @@ fn sibling_tmp(path: &Path) -> PathBuf {
 /// (the log remains the source of truth).
 pub(crate) fn write_index(path: &Path, entries: &[IndexEntry]) -> io::Result<()> {
     let mut sorted: Vec<IndexEntry> = entries.to_vec();
-    sorted.sort_by_key(|e| (e.lanes, e.offset));
+    sorted.sort_by_key(|e| (e.hash, e.offset));
 
     let mut bytes = Vec::with_capacity(8 + 8 + sorted.len() * ENTRY_BYTES + 8);
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(&(sorted.len() as u64).to_le_bytes());
     for e in &sorted {
-        bytes.extend_from_slice(&e.lanes.0.to_le_bytes());
-        bytes.extend_from_slice(&e.lanes.1.to_le_bytes());
+        bytes.extend_from_slice(&e.hash.0.to_le_bytes());
+        bytes.extend_from_slice(&e.hash.1.to_le_bytes());
         bytes.extend_from_slice(&e.offset.to_le_bytes());
         bytes.extend_from_slice(&e.len.to_le_bytes());
     }
@@ -97,7 +97,7 @@ pub(crate) fn load_index(path: &Path, log_len: u64) -> Option<Vec<IndexEntry>> {
     for i in 0..count {
         let at = 16 + i * ENTRY_BYTES;
         let e = IndexEntry {
-            lanes: (
+            hash: ContentHash(
                 u64::from_le_bytes(bytes[at..at + 8].try_into().ok()?),
                 u64::from_le_bytes(bytes[at + 8..at + 16].try_into().ok()?),
             ),
@@ -136,12 +136,12 @@ mod tests {
     fn sample() -> Vec<IndexEntry> {
         vec![
             IndexEntry {
-                lanes: (7, 9),
+                hash: ContentHash(7, 9),
                 offset: 120,
                 len: 40,
             },
             IndexEntry {
-                lanes: (1, 2),
+                hash: ContentHash(1, 2),
                 offset: 0,
                 len: 120,
             },
@@ -154,7 +154,7 @@ mod tests {
         write_index(&tmp.0, &sample()).expect("writes");
         let loaded = load_index(&tmp.0, 160).expect("loads");
         assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].lanes, (1, 2), "sorted by lanes");
+        assert_eq!(loaded[0].hash, ContentHash(1, 2), "sorted by hash");
         assert_eq!(loaded[1].offset, 120);
     }
 

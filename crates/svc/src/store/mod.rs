@@ -8,11 +8,14 @@
 //! length-prefixed response records (`store/segment.rs`) plus a packed
 //! immutable index per sealed segment, rebuilt on rotation
 //! (`store/index.rs`). Lookups hit RAM first, fall to disk, and promote disk
-//! hits back into RAM; inserts write through. Keys are canonical
-//! request strings — the same content addressing as the cache — so a
-//! restart, an LRU eviction, or a second replica sharing the directory
-//! layout all resolve previously-served requests to byte-identical
-//! responses without recomputing.
+//! hits back into RAM; inserts write through. Both tiers address a
+//! record by the [`ContentHash`] of its canonical request string,
+//! computed once per request, and keep the full key beside the bytes: a
+//! keyed lookup serves a record only when its stored key is the one
+//! asked for, and a lookup by bare job id only when the stored key
+//! hashes back to that id. So a restart, an LRU eviction, or a second
+//! replica sharing the directory layout all resolve previously-served
+//! requests to byte-identical responses without recomputing.
 //!
 //! # Robustness contract
 //!
@@ -51,7 +54,7 @@ use crate::obs::{LogLevel, ServiceLog};
 pub use fault::{FaultPlan, IoFault};
 
 use crate::cache::{JobOutput, ScheduleCache};
-use crate::hash::hash_lanes;
+use crate::hash::ContentHash;
 use index::IndexEntry;
 
 /// Default segment rotation threshold: 8 MiB of records.
@@ -88,7 +91,7 @@ impl StoreConfig {
 pub struct StoreStats {
     /// Disk-tier lookups that returned verified bytes.
     pub hits: AtomicU64,
-    /// Disk-tier lookups that found nothing (or a lane collision).
+    /// Disk-tier lookups that found nothing (or another key's record).
     pub misses: AtomicU64,
     /// Records dropped because their bytes failed verification —
     /// corrupt regions found at open plus checksum failures at read.
@@ -116,9 +119,9 @@ struct Loc {
 }
 
 struct Inner {
-    /// Key lanes (128-bit) to record location; collisions are resolved
+    /// Key content hash to record location; collisions are resolved
     /// by comparing the stored full key on read.
-    index: HashMap<u128, Loc>,
+    index: HashMap<ContentHash, Loc>,
     /// Read handles, one per segment file.
     readers: HashMap<u64, File>,
     /// Append handle and running state of the active segment.
@@ -142,10 +145,6 @@ pub struct Store {
     /// process-wide stderr log.
     log: OnceLock<Arc<ServiceLog>>,
     inner: Mutex<Inner>,
-}
-
-fn lane_key(lanes: (u64, u64)) -> u128 {
-    (u128::from(lanes.0) << 64) | u128::from(lanes.1)
 }
 
 fn seg_path(dir: &Path, seq: u64) -> PathBuf {
@@ -204,7 +203,7 @@ impl Store {
                         .records
                         .iter()
                         .map(|r| IndexEntry {
-                            lanes: r.record,
+                            hash: r.record,
                             offset: r.offset,
                             len: r.len,
                         })
@@ -217,7 +216,7 @@ impl Store {
             };
             for e in entries {
                 index.insert(
-                    lane_key(e.lanes),
+                    e.hash,
                     Loc {
                         seq,
                         offset: e.offset,
@@ -241,7 +240,7 @@ impl Store {
         let mut active_entries = Vec::with_capacity(scan.records.len());
         for r in &scan.records {
             index.insert(
-                lane_key(r.record),
+                r.record,
                 Loc {
                     seq: active_seq,
                     offset: r.offset,
@@ -249,7 +248,7 @@ impl Store {
                 },
             );
             active_entries.push(IndexEntry {
-                lanes: r.record,
+                hash: r.record,
                 offset: r.offset,
                 len: r.len,
             });
@@ -294,12 +293,22 @@ impl Store {
     /// degraded mode — the caller recomputes; wrong bytes are never
     /// returned.
     pub fn get(&self, key: &str) -> Option<JobOutput> {
+        self.read(ContentHash::of(key), Some(key))
+            .map(|(_, output)| output)
+    }
+
+    /// Reads the record at `hash`, re-verifying its checksum, and
+    /// returns it with its stored full key. The record is served only
+    /// when that key is `key` or, without one (a lookup by bare job
+    /// id), when it hashes back to `hash`; any other record (a 128-bit
+    /// hash collision) is a miss. A record that fails verification is
+    /// quarantined and degrades the tier.
+    pub(crate) fn read(&self, hash: ContentHash, key: Option<&str>) -> Option<(String, JobOutput)> {
         if self.is_degraded() {
             return None;
         }
-        let lanes = hash_lanes(key.as_bytes());
         let mut inner = self.inner.lock().expect("store lock");
-        let Some(loc) = inner.index.get(&lane_key(lanes)).copied() else {
+        let Some(loc) = inner.index.get(&hash).copied() else {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
@@ -315,20 +324,23 @@ impl Store {
                 return None;
             }
         };
+        let wanted = |stored: &str| match key {
+            Some(key) => key == stored,
+            None => ContentHash::of(stored) == hash,
+        };
         match segment::decode_frame(&frame) {
-            Some((stored_key, output)) if stored_key == key => {
+            Some((stored_key, output)) if wanted(&stored_key) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(output)
+                Some((stored_key, output))
             }
             Some(_) => {
-                // 128-bit lane collision: the record is valid but for a
-                // different key. Treat as a miss; a write-through of
-                // this key will re-point the lane slot.
+                // The record is valid but for a different key. Treat as
+                // a miss; the first write at a hash keeps it.
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
             None => {
-                inner.index.remove(&lane_key(lanes));
+                inner.index.remove(&hash);
                 self.stats
                     .records
                     .store(inner.index.len() as u64, Ordering::Relaxed);
@@ -340,21 +352,25 @@ impl Store {
         }
     }
 
-    /// Persists `(key, output)`, rotating the active segment when full.
-    /// Content addressing makes the store append-once per key: if the
-    /// key is already indexed the write is skipped (deterministic
-    /// scheduling guarantees the bytes would be identical). Returns
-    /// `true` when the key is durably indexed on return; `false` means
-    /// the write was lost (degraded before or during) and the caller
-    /// must keep its own copy durable.
+    /// Persists `(key, output)` at `key`'s content hash, rotating the
+    /// active segment when full. Content addressing makes the store
+    /// append-once per hash: if the hash is already indexed the write
+    /// is skipped (deterministic scheduling guarantees the bytes would
+    /// be identical). Returns `true` when the hash is durably indexed
+    /// on return; `false` means the write was lost (degraded before or
+    /// during) and the caller must keep its own copy durable.
     pub fn put(&self, key: &str, output: &JobOutput) -> bool {
+        self.put_at(ContentHash::of(key), key, output)
+    }
+
+    /// [`Store::put`] at `hash`, which the caller has already computed.
+    pub(crate) fn put_at(&self, hash: ContentHash, key: &str, output: &JobOutput) -> bool {
         if self.is_degraded() {
             return false;
         }
-        let lanes = hash_lanes(key.as_bytes());
         let frame = segment::encode_record(key, output);
         let mut inner = self.inner.lock().expect("store lock");
-        if inner.index.contains_key(&lane_key(lanes)) {
+        if inner.index.contains_key(&hash) {
             return true;
         }
         if inner.active_len > 0 && inner.active_len + frame.len() as u64 > self.segment_max_bytes {
@@ -371,87 +387,25 @@ impl Store {
         }
         let len = u32::try_from(frame.len()).expect("frame fits u32");
         let offset = inner.active_len;
-        inner.active_entries.push(IndexEntry { lanes, offset, len });
+        inner.active_entries.push(IndexEntry { hash, offset, len });
         let loc = Loc {
             seq: inner.active_seq,
             offset,
             len,
         };
         inner.active_len += frame.len() as u64;
-        inner.index.insert(lane_key(lanes), loc);
+        inner.index.insert(hash, loc);
         self.stats
             .records
             .store(inner.index.len() as u64, Ordering::Relaxed);
         true
     }
 
-    /// Looks a record up by its content-hash lanes — the index key
-    /// itself — returning the stored full key alongside the output.
-    /// This is the cluster's internal-lookup path: a peer knows only
-    /// the 32-hex request hash, whose two 64-bit halves are exactly
-    /// the lanes this index is keyed on. The record checksum is still
-    /// verified; the full-key comparison of [`Store::get`] is
-    /// impossible here (the caller has no key), so a 128-bit lane
-    /// collision would alias — the same negligible-odds tradeoff the
-    /// index itself already makes between distinct segments.
-    pub fn get_by_lanes(&self, lanes: (u64, u64)) -> Option<(String, JobOutput)> {
-        if self.is_degraded() {
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("store lock");
-        let Some(loc) = inner.index.get(&lane_key(lanes)).copied() else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let read = match inner.readers.get_mut(&loc.seq) {
-            Some(reader) => read_frame(reader, loc, self.faults.as_deref()),
-            None => Err(io::Error::other("no reader for segment")),
-        };
-        let frame = match read {
-            Ok(frame) => frame,
-            Err(err) => {
-                drop(inner);
-                self.degrade(&format!("record read failed: {err}"));
-                return None;
-            }
-        };
-        match segment::decode_frame(&frame) {
-            Some((stored_key, output)) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some((stored_key, output))
-            }
-            None => {
-                inner.index.remove(&lane_key(lanes));
-                self.stats
-                    .records
-                    .store(inner.index.len() as u64, Ordering::Relaxed);
-                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                drop(inner);
-                self.degrade("record failed verification on read (quarantined)");
-                None
-            }
-        }
-    }
-
-    /// `true` when `key` is indexed and the disk tier is in service.
-    /// This checks the index, not the bytes — journal compaction uses
-    /// [`Store::get`] instead when it needs verified durability.
+    /// The content hash of every indexed record — the raw material of
+    /// the cluster's anti-entropy digest. Empty while the tier is
+    /// degraded: nothing is durably held then.
     #[must_use]
-    pub fn contains(&self, key: &str) -> bool {
-        !self.is_degraded()
-            && self
-                .inner
-                .lock()
-                .expect("store lock")
-                .index
-                .contains_key(&lane_key(hash_lanes(key.as_bytes())))
-    }
-
-    /// The content-hash lanes of every indexed record — the raw
-    /// material of the cluster's anti-entropy digest. Empty while the
-    /// tier is degraded: nothing is durably held then.
-    #[must_use]
-    pub fn indexed_lanes(&self) -> Vec<(u64, u64)> {
+    pub fn indexed(&self) -> Vec<ContentHash> {
         if self.is_degraded() {
             return Vec::new();
         }
@@ -460,7 +414,7 @@ impl Store {
             .expect("store lock")
             .index
             .keys()
-            .map(|k| ((k >> 64) as u64, *k as u64))
+            .copied()
             .collect()
     }
 
@@ -607,56 +561,83 @@ impl TieredStore {
         }
     }
 
-    /// Memory first, then disk (promoting a disk hit into memory).
+    /// Looks `key` up at its content hash; see [`TieredStore::get_at`].
     pub fn get(&self, key: &str) -> Option<JobOutput> {
-        if let Some(hit) = self.memory.lock().expect("cache lock").get(key) {
-            return Some(hit);
+        self.get_at(ContentHash::of(key), key)
+    }
+
+    /// The output stored under `key` at `hash`: memory first, then disk
+    /// (promoting a disk hit into memory). Either tier serves a record
+    /// only when its stored key is `key`.
+    pub fn get_at(&self, hash: ContentHash, key: &str) -> Option<JobOutput> {
+        if let Some((stored, output)) = self.memory.lock().expect("cache lock").get(hash) {
+            if stored == key {
+                return Some(output);
+            }
         }
-        let output = self.disk.as_ref()?.get(key)?;
+        let (stored, output) = self.disk.as_ref()?.read(hash, Some(key))?;
         self.memory
             .lock()
             .expect("cache lock")
-            .insert(key.to_owned(), output.clone());
+            .insert(hash, stored, output.clone());
         Some(output)
     }
 
-    /// Write-through insert. Returns `true` when the bytes are durable
-    /// on the disk tier (journal compaction then no longer needs to
-    /// carry them).
-    pub fn insert(&self, key: &str, output: &JobOutput) -> bool {
-        self.insert_tiered(key, output, true)
-    }
-
-    /// Insert with an explicit disk-tier decision: the memory LRU is
-    /// always written (every node serves what it just touched), the
-    /// disk tier only when `write_disk` — how cluster nodes keep disk
-    /// growth bounded to the key ranges they own or replicate. Returns
-    /// disk durability, always `false` when the disk was skipped.
-    pub fn insert_tiered(&self, key: &str, output: &JobOutput, write_disk: bool) -> bool {
+    /// The record at `hash` with its stored key — the lookup of a bare
+    /// job id: memory first, then disk (promoting a disk hit). Either
+    /// tier serves a record only when its stored key hashes back to
+    /// `hash`.
+    pub fn get_by_id(&self, hash: ContentHash) -> Option<(String, JobOutput)> {
+        if let Some((key, output)) = self.memory.lock().expect("cache lock").get(hash) {
+            if ContentHash::of(key) == hash {
+                return Some((key.to_owned(), output));
+            }
+        }
+        let (key, output) = self.disk.as_ref()?.read(hash, None)?;
         self.memory
             .lock()
             .expect("cache lock")
-            .insert(key.to_owned(), output.clone());
-        write_disk && self.disk.as_ref().is_some_and(|d| d.put(key, output))
-    }
-
-    /// Disk lookup by content-hash lanes (see [`Store::get_by_lanes`]),
-    /// promoting a hit into the memory tier under its stored full key.
-    pub fn get_by_lanes(&self, lanes: (u64, u64)) -> Option<(String, JobOutput)> {
-        let (key, output) = self.disk.as_ref()?.get_by_lanes(lanes)?;
-        self.memory
-            .lock()
-            .expect("cache lock")
-            .insert(key.clone(), output.clone());
+            .insert(hash, key.clone(), output.clone());
         Some((key, output))
     }
 
-    /// `true` when `key` is resident in the memory tier, without
-    /// touching its LRU recency or the disk — how the cluster digest
-    /// enumerates memory-held records cheaply.
+    /// Write-through insert at `key`'s content hash. Returns `true` when
+    /// the bytes are durable on the disk tier (journal compaction then
+    /// no longer needs to carry them).
+    pub fn insert(&self, key: &str, output: &JobOutput) -> bool {
+        self.insert_at(ContentHash::of(key), key, output, true)
+    }
+
+    /// Insert at `hash` with an explicit disk-tier decision: the memory
+    /// LRU is always written (every node serves what it just touched),
+    /// the disk tier only when `write_disk` — how cluster nodes keep
+    /// disk growth bounded to the key ranges they own or replicate.
+    /// Returns disk durability, always `false` when the disk was
+    /// skipped. Every lookup checks the stored key, so a `hash` other
+    /// than `key`'s own can cost hits but never serves wrong bytes.
+    pub fn insert_at(
+        &self,
+        hash: ContentHash,
+        key: &str,
+        output: &JobOutput,
+        write_disk: bool,
+    ) -> bool {
+        self.memory
+            .lock()
+            .expect("cache lock")
+            .insert(hash, key.to_owned(), output.clone());
+        write_disk
+            && self
+                .disk
+                .as_ref()
+                .is_some_and(|d| d.put_at(hash, key, output))
+    }
+
+    /// The content hash of every record in the memory tier, without
+    /// touching its LRU recency.
     #[must_use]
-    pub fn contains_memory(&self, key: &str) -> bool {
-        self.memory.lock().expect("cache lock").contains(key)
+    pub fn memory_hashes(&self) -> Vec<ContentHash> {
+        self.memory.lock().expect("cache lock").hashes()
     }
 
     /// The disk tier, when one is open.
@@ -920,6 +901,37 @@ mod tests {
             "no disk tier without configuration"
         );
         assert!(!TieredStore::memory_only(4).degraded());
+    }
+
+    #[test]
+    fn two_keys_on_one_hash_never_serve_each_others_bytes() {
+        let tmp = TempDir::new("collide");
+        // "b" is stored at "a"'s address, where a 128-bit hash
+        // collision would put it.
+        let hash = ContentHash::of("a");
+        let memory = TieredStore::memory_only(4);
+        memory.insert_at(hash, "a", &output("alpha"), true);
+        memory.insert_at(hash, "b", &output("beta"), true);
+        assert!(memory.get_at(hash, "a").is_none(), "b replaced a");
+        assert_eq!(memory.get_at(hash, "b").expect("hit").body.as_str(), "beta");
+        assert!(memory.get("a").is_none());
+        assert!(
+            memory.get_by_id(hash).is_none(),
+            "b does not hash to a's id"
+        );
+
+        let stats = Arc::new(StoreStats::default());
+        let disk = Store::open(tmp.config(), stats.clone()).expect("opens");
+        let tiered = TieredStore::with_disk(4, Some(disk));
+        assert!(tiered.insert_at(hash, "a", &output("alpha"), true));
+        // The disk keeps the first record at a hash; memory the last.
+        tiered.insert_at(hash, "b", &output("beta"), true);
+        assert_eq!(tiered.get("a").expect("disk hit").body.as_str(), "alpha");
+        assert!(tiered.get_at(hash, "b").is_none(), "a was promoted over b");
+        let (key, hit) = tiered.get_by_id(hash).expect("a hashes to its id");
+        assert_eq!((key.as_str(), hit.body.as_str()), ("a", "alpha"));
+        assert!(tiered.disk().expect("disk").get("b").is_none());
+        assert_eq!(stats.quarantined.load(Ordering::Relaxed), 0);
     }
 
     #[test]

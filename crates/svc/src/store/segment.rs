@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use crate::cache::JobOutput;
-use crate::hash::{fnv1a64, hash_lanes};
+use crate::hash::{fnv1a64, ContentHash};
 
 /// Bytes of frame header: u32 payload length + u64 checksum.
 pub(crate) const FRAME_HEADER: usize = 4 + 8;
@@ -189,10 +189,10 @@ pub(crate) fn scan_frames<T>(bytes: &[u8], mut decode: impl FnMut(&[u8]) -> Opti
     }
 }
 
-/// Scans a segment's bytes; each record is its key's two FNV-1a lanes.
-pub(crate) fn scan(bytes: &[u8]) -> Scan<(u64, u64)> {
+/// Scans a segment's bytes; each record is its key's content hash.
+pub(crate) fn scan(bytes: &[u8]) -> Scan<ContentHash> {
     scan_frames(bytes, |payload| {
-        decode_payload(payload).map(|(key, _)| hash_lanes(key.as_bytes()))
+        decode_payload(payload).map(|(key, _)| ContentHash::of(&key))
     })
 }
 

@@ -657,3 +657,27 @@ fn deeply_nested_bodies_answer_400_on_every_endpoint() {
     assert_eq!(c.get("/healthz").expect("healthz").status, 200);
     server.shutdown();
 }
+
+/// A `\u` escape takes exactly four hex digits, in a member name as in
+/// a string value: `"\u+065df"` is not the scheduler `edf`.
+#[test]
+fn signed_unicode_escapes_answer_400() {
+    let server = Server::start(config()).expect("starts");
+    let mut c = client(&server);
+    let graph = graph_json(3, 8);
+    for body in [
+        format!(r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"\u+065df"}}"#),
+        format!(r#"{{"graph":{graph},"platform":"mesh:2x2","\u+041":1}}"#),
+    ] {
+        let resp = c.post("/v1/schedule", &body).expect("answers");
+        assert_eq!(
+            (resp.status, resp.body.as_str()),
+            (
+                400,
+                noc_svc::api::error_body("invalid request body: bad unicode escape").as_str()
+            ),
+            "{body}"
+        );
+    }
+    server.shutdown();
+}

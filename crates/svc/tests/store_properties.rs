@@ -5,7 +5,9 @@
 //! `Store::open` never panics, recovers the longest valid record
 //! prefix of the active segment, serves only records whose checksum
 //! and key still verify, and accepts new writes that round-trip
-//! byte-identically afterwards.
+//! byte-identically afterwards. A model check of record addressing
+//! closes the file: whatever lands at a content hash, a lookup serves
+//! only the record it asked for.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -13,7 +15,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use noc_svc::cache::JobOutput;
-use noc_svc::store::{Store, StoreConfig, StoreStats};
+use noc_svc::hash::ContentHash;
+use noc_svc::store::{Store, StoreConfig, StoreStats, TieredStore};
 
 /// A fresh per-case store directory under the OS temp dir.
 fn fresh_dir(tag: u64) -> PathBuf {
@@ -124,7 +127,7 @@ proptest! {
             }
         }
         // Prefix property: if record i survived, records 0..i did too.
-        let served: Vec<bool> = written.iter().map(|(k, _)| store.contains(k)).collect();
+        let served: Vec<bool> = written.iter().map(|(k, _)| store.get(k).is_some()).collect();
         if let Some(first_gap) = served.iter().position(|s| !s) {
             prop_assert!(
                 served[first_gap..].iter().all(|s| !s),
@@ -184,4 +187,100 @@ proptest! {
         prop_assert_eq!(got.body.as_str(), "{\"after\":\"tail\"}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Random inserts, keyed gets and id gets against a memory-only or
+    /// disk-backed `TieredStore` whose 0–3-entry memory tier evicts
+    /// and promotes, checked against a model of the disk tier. Some
+    /// inserts put a key at another key's content hash, as a 128-bit
+    /// collision would. No get ever serves another key's bytes: a
+    /// keyed get returns the bytes inserted under its key or misses,
+    /// and an id get returns a record whose key hashes to that id. A
+    /// disk tier serves every key whose address it holds for that key.
+    #[test]
+    fn records_are_served_only_under_their_own_key(
+        seed in 0u64..u64::MAX,
+        capacity in 0usize..4,
+        with_disk in prop::bool::ANY,
+        ops in prop::collection::vec((0u8..10, 0usize..KEYS, 0usize..KEYS), 1..48),
+    ) {
+        let dir = fresh_dir(seed ^ 0x3);
+        let store = if with_disk {
+            TieredStore::with_disk(capacity, Some(open(&dir)))
+        } else {
+            TieredStore::memory_only(capacity)
+        };
+        // The model: keys ever inserted at their own hash, and the key
+        // the disk tier holds at each key's hash (the first written).
+        let mut inserted = [false; KEYS];
+        let mut on_disk: [Option<usize>; KEYS] = [None; KEYS];
+        for (op, k, at) in ops {
+            match op {
+                // Insert `k` at its own hash, then read it back.
+                0..=2 => {
+                    store.insert(&key(k), &record(k));
+                    inserted[k] = true;
+                    if with_disk {
+                        on_disk[k].get_or_insert(k);
+                    }
+                    let got = store.get(&key(k));
+                    if capacity > 0 || on_disk[k] == Some(k) {
+                        prop_assert_eq!(
+                            got.map(|o| o.body.to_string()),
+                            Some(body(k)),
+                            "a fresh insert must read back"
+                        );
+                    }
+                }
+                // Insert `k` at `at`'s hash.
+                3 => {
+                    store.insert_at(ContentHash::of(&key(at)), &key(k), &record(k), true);
+                    inserted[k] |= k == at;
+                    if with_disk {
+                        on_disk[at].get_or_insert(k);
+                    }
+                }
+                // Keyed get of `k`.
+                4..=6 => {
+                    let got = store.get(&key(k)).map(|o| o.body.to_string());
+                    if let Some(served) = &got {
+                        prop_assert_eq!(served, &body(k), "a keyed get served another key's bytes");
+                        prop_assert!(inserted[k], "a keyed get served a key never inserted");
+                    }
+                    if on_disk[k] == Some(k) {
+                        prop_assert!(got.is_some(), "the disk tier lost {}", key(k));
+                    }
+                }
+                // Get by `k`'s id alone.
+                _ => {
+                    let hash = ContentHash::of(&key(k));
+                    let got = store.get_by_id(hash);
+                    if let Some((stored, output)) = &got {
+                        prop_assert_eq!(ContentHash::of(stored), hash, "an id get served a foreign key");
+                        prop_assert_eq!(output.body.as_str(), body(k));
+                    }
+                    if on_disk[k] == Some(k) {
+                        prop_assert!(got.is_some(), "the disk tier lost {}", key(k));
+                    }
+                }
+            }
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Distinct keys the addressing property draws from: few, so that
+/// addresses repeat and the memory tier evicts.
+const KEYS: usize = 5;
+
+fn key(i: usize) -> String {
+    format!("{{\"graph\":\"g{i}\",\"scheduler\":\"eas\"}}")
+}
+
+fn body(i: usize) -> String {
+    format!("{{\"makespan\":{i}}}")
+}
+
+fn record(i: usize) -> JobOutput {
+    JobOutput::new(Arc::new(body(i)))
 }
