@@ -19,12 +19,11 @@ use serde::{Deserialize, Serialize};
 use noc_ctg::TaskGraph;
 use noc_platform::tile::PeId;
 use noc_platform::Platform;
-use noc_schedule::{validate, Schedule, ScheduleStats};
+use noc_schedule::{Schedule, ScheduleStats};
 
 use crate::limit::{ComputeBudget, Interrupt};
-use crate::repair::RepairStats;
 use crate::retime::{retime, OrderedAssignment};
-use crate::scheduler::{ScheduleOutcome, Scheduler};
+use crate::scheduler::{repair_and_validate, ScheduleOutcome, Scheduler};
 use crate::trace::{EventKind, TraceSink, Tracer};
 use crate::{EasScheduler, SchedulerError};
 
@@ -224,16 +223,7 @@ impl Scheduler for AnnealScheduler {
         let schedule = self.refine(warm.schedule, graph, platform, budget, &mut tracer)?;
         tracer.poll("anneal", budget);
         tracer.end("anneal");
-        tracer.begin("validate");
-        let report = validate(&schedule, graph, platform)?;
-        let stats = ScheduleStats::compute(&schedule, graph, platform);
-        tracer.end("validate");
-        Ok(ScheduleOutcome {
-            schedule,
-            report,
-            stats,
-            repair: RepairStats::default(),
-        })
+        repair_and_validate(graph, platform, schedule, false, budget, &mut tracer)
     }
 }
 
@@ -242,6 +232,7 @@ mod tests {
     use super::*;
     use noc_ctg::prelude::*;
     use noc_platform::prelude::*;
+    use noc_schedule::validate;
 
     fn platform() -> Platform {
         Platform::builder()

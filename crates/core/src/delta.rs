@@ -40,12 +40,11 @@ use noc_platform::tile::{PeId, TileId};
 use noc_platform::topology::Link;
 use noc_platform::units::{Energy, Time, Volume};
 use noc_platform::Platform;
-use noc_schedule::{validate, Schedule, ScheduleStats};
+use noc_schedule::Schedule;
 
 use crate::limit::ComputeBudget;
-use crate::repair::search_and_repair_traced;
 use crate::retime::{retime, OrderedAssignment};
-use crate::scheduler::{EasScheduler, ScheduleOutcome, Scheduler};
+use crate::scheduler::{repair_and_validate, EasScheduler, ScheduleOutcome, Scheduler};
 use crate::trace::{EventKind, NullSink, TraceSink, Tracer};
 use crate::SchedulerError;
 
@@ -700,24 +699,14 @@ pub fn repair_from_traced(
         });
     }
     let outcome = match plan {
-        Ok(rebased) => {
-            let mut tracer = Tracer::new(sink);
-            tracer.begin("repair");
-            let (schedule, repair) =
-                search_and_repair_traced(graph, platform, rebased, budget, &mut tracer)?;
-            tracer.poll("repair", budget);
-            tracer.end("repair");
-            tracer.begin("validate");
-            let report = validate(&schedule, graph, platform)?;
-            let stats = ScheduleStats::compute(&schedule, graph, platform);
-            tracer.end("validate");
-            ScheduleOutcome {
-                schedule,
-                report,
-                stats,
-                repair,
-            }
-        }
+        Ok(rebased) => repair_and_validate(
+            graph,
+            platform,
+            rebased,
+            true,
+            budget,
+            &mut Tracer::new(sink),
+        )?,
         Err(_) => EasScheduler::full().schedule_traced(graph, platform, budget, sink)?,
     };
     Ok(DeltaOutcome {

@@ -28,7 +28,6 @@ use noc_ctg::TaskGraph;
 use noc_platform::tile::PeId;
 use noc_platform::units::Energy;
 use noc_platform::Platform;
-use noc_schedule::{validate, ScheduleStats};
 
 use crate::repair::RepairStats;
 use crate::retime::{retime, OrderedAssignment};
@@ -155,14 +154,7 @@ impl Scheduler for MapThenScheduleScheduler {
         }
         let oa = OrderedAssignment { assignment, order };
         let schedule = retime(graph, platform, &oa).ok_or(SchedulerError::RetimeDeadlock)?;
-        let report = validate(&schedule, graph, platform)?;
-        let stats = ScheduleStats::compute(&schedule, graph, platform);
-        Ok(ScheduleOutcome {
-            schedule,
-            report,
-            stats,
-            repair: RepairStats::default(),
-        })
+        ScheduleOutcome::validated(schedule, graph, platform, RepairStats::default())
     }
 }
 
@@ -172,6 +164,7 @@ mod tests {
     use crate::{EasScheduler, EdfScheduler};
     use noc_ctg::prelude::*;
     use noc_platform::prelude::*;
+    use noc_schedule::validate;
 
     fn platform() -> Platform {
         Platform::builder()

@@ -130,6 +130,26 @@ pub struct ScheduleOutcome {
     pub repair: RepairStats,
 }
 
+impl ScheduleOutcome {
+    /// Validates `schedule` and computes its statistics: how every
+    /// scheduler closes its run.
+    pub(crate) fn validated(
+        schedule: Schedule,
+        graph: &TaskGraph,
+        platform: &Platform,
+        repair: RepairStats,
+    ) -> Result<Self, SchedulerError> {
+        let report = validate(&schedule, graph, platform)?;
+        let stats = ScheduleStats::compute(&schedule, graph, platform);
+        Ok(ScheduleOutcome {
+            schedule,
+            report,
+            stats,
+            repair,
+        })
+    }
+}
+
 /// A static scheduler for CTGs on NoC platforms.
 pub trait Scheduler {
     /// Short name for reports (e.g. `"eas"`, `"edf"`).
@@ -280,29 +300,40 @@ impl Scheduler for EasScheduler {
         )?;
         tracer.poll("level", budget);
         tracer.end("level");
-        let mut schedule = placer.into_schedule();
-        // Step 3: search and repair.
-        let mut repair = RepairStats::default();
-        if self.config.search_and_repair {
-            tracer.begin("repair");
-            let (repaired, stats) =
-                search_and_repair_traced(graph, platform, schedule, budget, &mut tracer)?;
-            schedule = repaired;
-            repair = stats;
-            tracer.poll("repair", budget);
-            tracer.end("repair");
-        }
-        tracer.begin("validate");
-        let report = validate(&schedule, graph, platform)?;
-        let stats = ScheduleStats::compute(&schedule, graph, platform);
-        tracer.end("validate");
-        Ok(ScheduleOutcome {
-            schedule,
-            report,
-            stats,
-            repair,
-        })
+        // Step 3: search and repair, then validation.
+        let schedule = placer.into_schedule();
+        let repair = self.config.search_and_repair;
+        repair_and_validate(graph, platform, schedule, repair, budget, &mut tracer)
     }
+}
+
+/// The tail of every EAS run: search and repair `schedule` when
+/// `search_and_repair` is set, then validate it and compute its
+/// statistics, each in its own traced stage. The annealer (without
+/// repair) and a warm-start delta run
+/// ([`crate::delta::repair_from_traced`]) end the same way.
+pub(crate) fn repair_and_validate(
+    graph: &TaskGraph,
+    platform: &Platform,
+    mut schedule: Schedule,
+    search_and_repair: bool,
+    budget: &ComputeBudget,
+    tracer: &mut Tracer<'_>,
+) -> Result<ScheduleOutcome, SchedulerError> {
+    let mut repair = RepairStats::default();
+    if search_and_repair {
+        tracer.begin("repair");
+        let (repaired, stats) =
+            search_and_repair_traced(graph, platform, schedule, budget, tracer)?;
+        schedule = repaired;
+        repair = stats;
+        tracer.poll("repair", budget);
+        tracer.end("repair");
+    }
+    tracer.begin("validate");
+    let outcome = ScheduleOutcome::validated(schedule, graph, platform, repair)?;
+    tracer.end("validate");
+    Ok(outcome)
 }
 
 impl fmt::Display for EasScheduler {
@@ -337,14 +368,7 @@ impl Scheduler for DlsScheduler {
         let mut placer = Placer::new(graph, platform)?;
         crate::dls::dls_schedule(&mut placer);
         let schedule = placer.into_schedule();
-        let report = validate(&schedule, graph, platform)?;
-        let stats = ScheduleStats::compute(&schedule, graph, platform);
-        Ok(ScheduleOutcome {
-            schedule,
-            report,
-            stats,
-            repair: RepairStats::default(),
-        })
+        ScheduleOutcome::validated(schedule, graph, platform, RepairStats::default())
     }
 }
 
@@ -373,14 +397,7 @@ impl Scheduler for EdfScheduler {
         let mut placer = Placer::new(graph, platform)?;
         edf_schedule(&mut placer);
         let schedule = placer.into_schedule();
-        let report = validate(&schedule, graph, platform)?;
-        let stats = ScheduleStats::compute(&schedule, graph, platform);
-        Ok(ScheduleOutcome {
-            schedule,
-            report,
-            stats,
-            repair: RepairStats::default(),
-        })
+        ScheduleOutcome::validated(schedule, graph, platform, RepairStats::default())
     }
 }
 

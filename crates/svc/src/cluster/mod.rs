@@ -372,25 +372,16 @@ pub struct Cluster {
 
 impl Cluster {
     /// Validates the membership, builds the ring and spawns the
-    /// replication and anti-entropy worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the membership is invalid (see
-    /// [`ClusterConfig::membership`]) or a worker cannot spawn.
-    pub fn start(config: ClusterConfig, stats: Arc<ClusterStats>) -> io::Result<Cluster> {
-        Cluster::start_with_obs(config, stats, ClusterObs::default())
-    }
-
-    /// [`Cluster::start`] with observability hooks: hop spans land in
+    /// replication and anti-entropy worker threads. Hop spans land in
     /// `obs.recorder`, peer state flips in `obs.log`, and worker-side
     /// stage latencies (`replication_deliver`, `anti_entropy`) in
     /// `obs.stages`.
     ///
     /// # Errors
     ///
-    /// Same as [`Cluster::start`].
-    pub fn start_with_obs(
+    /// Fails when the membership is invalid (see
+    /// [`ClusterConfig::membership`]) or a worker cannot spawn.
+    pub fn start(
         config: ClusterConfig,
         stats: Arc<ClusterStats>,
         obs: ClusterObs,
@@ -998,6 +989,7 @@ mod tests {
                 Cluster::start(
                     ClusterConfig::new(p.clone(), peers.clone()),
                     Arc::new(ClusterStats::default()),
+                    ClusterObs::default(),
                 )
                 .expect("cluster starts")
             })
@@ -1022,7 +1014,11 @@ mod tests {
             matches!(err, ClusterConfigError::DuplicateAddress { .. }),
             "got {err:?}"
         );
-        let err = match Cluster::start(config, Arc::new(ClusterStats::default())) {
+        let err = match Cluster::start(
+            config,
+            Arc::new(ClusterStats::default()),
+            ClusterObs::default(),
+        ) {
             Ok(_) => panic!("start must reject too"),
             Err(e) => e,
         };
@@ -1049,7 +1045,8 @@ mod tests {
         let stats = Arc::new(ClusterStats::default());
         let mut config = ClusterConfig::new(peers[0].clone(), peers.clone());
         config.timeout = Duration::from_millis(200);
-        let cluster = Cluster::start(config, Arc::clone(&stats)).expect("cluster starts");
+        let cluster = Cluster::start(config, Arc::clone(&stats), ClusterObs::default())
+            .expect("cluster starts");
         let id = crate::hash::content_hash("{\"k\":1}");
         cluster.replicate(
             &id,
@@ -1070,7 +1067,8 @@ mod tests {
         let mut config = ClusterConfig::new(peers[0].clone(), peers.clone());
         config.retry_queue_max = 3;
         config.timeout = Duration::from_millis(200);
-        let cluster = Cluster::start(config, Arc::clone(&stats)).expect("cluster starts");
+        let cluster = Cluster::start(config, Arc::clone(&stats), ClusterObs::default())
+            .expect("cluster starts");
         // Hold the peer Down with a long backoff so the replicator
         // cannot drain while we fill the queue past its bound.
         for _ in 0..10 {

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use crate::api::error_body;
 use crate::cluster::ClusterConfig;
-use crate::engine::{Engine, EngineConfig, Job, JobPhase, Submission};
+use crate::engine::{Engine, EngineConfig, Job, JobPhase, RequestKind, Submission};
 use crate::http::{Request, Response};
 use crate::obs::{span_us, TraceCtx};
 
@@ -338,7 +338,7 @@ pub(crate) fn respond(engine: &Engine, request: &Request) -> Routed {
         ("POST", "/v1/schedule") => submission_route(
             engine,
             request,
-            SubmitKind::Schedule,
+            RequestKind::Schedule,
             &trace,
             started,
             endpoint,
@@ -346,7 +346,7 @@ pub(crate) fn respond(engine: &Engine, request: &Request) -> Routed {
         ("POST", "/v1/schedule/delta") => submission_route(
             engine,
             request,
-            SubmitKind::Delta,
+            RequestKind::Delta,
             &trace,
             started,
             endpoint,
@@ -448,15 +448,10 @@ fn inline_route(engine: &Engine, request: &Request) -> Response {
     }
 }
 
-enum SubmitKind {
-    Schedule,
-    Delta,
-}
-
 fn submission_route(
     engine: &Engine,
     request: &Request,
-    kind: SubmitKind,
+    kind: RequestKind,
     trace: &TraceCtx,
     started: Instant,
     endpoint: &'static str,
@@ -469,11 +464,25 @@ fn submission_route(
     // the way. `mode` only matters for fresh/joined jobs; a cached
     // answer is final either way. `stats` selects how the stored
     // output is rendered, never what is stored.
-    let (submission, presentation) = match kind {
-        SubmitKind::Schedule => engine.submit_traced(body, trace),
-        SubmitKind::Delta => engine.submit_delta_traced(body, trace),
-    };
+    let (submission, presentation) = engine.submit(kind, body, trace);
     let (wants_async, wants_stats) = (presentation.is_async, presentation.wants_stats);
+    // A fresh or joined job: async clients get its id, sync ones wait.
+    let pending = |id: String, job: Arc<Job>, cache_label: &'static str| {
+        if wants_async {
+            return ready(accepted_response(&id));
+        }
+        Routed::Pending(Pending {
+            id,
+            job,
+            cache_label,
+            wants_stats,
+            finish: TraceFinish {
+                trace: trace.clone(),
+                started,
+                endpoint,
+            },
+        })
+    };
     match submission {
         Submission::BadRequest(msg) => ready(Response::json(400, error_body(&msg))),
         Submission::BadSpec(msg) => ready(Response::json(422, error_body(&msg))),
@@ -483,40 +492,8 @@ fn submission_route(
         Submission::PeerFilled { id, output } => {
             ready(cached_response(&id, &output, wants_stats, "peer"))
         }
-        Submission::Joined { id, job } => {
-            if wants_async {
-                ready(accepted_response(&id))
-            } else {
-                Routed::Pending(Pending {
-                    id,
-                    job,
-                    cache_label: "join",
-                    wants_stats,
-                    finish: TraceFinish {
-                        trace: trace.clone(),
-                        started,
-                        endpoint,
-                    },
-                })
-            }
-        }
-        Submission::Enqueued { id, job } => {
-            if wants_async {
-                ready(accepted_response(&id))
-            } else {
-                Routed::Pending(Pending {
-                    id,
-                    job,
-                    cache_label: "miss",
-                    wants_stats,
-                    finish: TraceFinish {
-                        trace: trace.clone(),
-                        started,
-                        endpoint,
-                    },
-                })
-            }
-        }
+        Submission::Joined { id, job } => pending(id, job, "join"),
+        Submission::Enqueued { id, job } => pending(id, job, "miss"),
         Submission::Rejected => ready(
             Response::json(429, error_body("job queue is full; retry later"))
                 .with_header("Retry-After", "1"),

@@ -1,8 +1,8 @@
 //! Admission bounds: every body a client can send is answered by a
 //! status that names its fault, never by a 5xx.
 //!
-//! The property drives the engine's three entry points — `submit`,
-//! `submit_delta` and `validate` — over platform specs × fault specs ×
+//! The property drives the engine's entry points — `submit` for both
+//! request kinds, and `validate` — over platform specs × fault specs ×
 //! graph shapes × schedulers × edits, and submits every body twice:
 //!
 //! * no answer is a 5xx;
@@ -18,7 +18,8 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use noc_svc::engine::{JobPhase, Submission};
+use noc_svc::engine::{Job, JobPhase, RequestKind, Submission};
+use noc_svc::obs::TraceCtx;
 use noc_svc::{Engine, EngineConfig};
 
 /// Platform specs: valid and unknown topologies, dimensions 0, 1, 16,
@@ -128,18 +129,29 @@ fn schedule() -> &'static str {
 /// served it.
 type Answer = (u16, String, bool);
 
+/// The terminal phase of `job`, awaited through its finish callback.
+fn terminal(job: &Job) -> JobPhase {
+    let (tx, rx) = std::sync::mpsc::channel();
+    job.on_finish(move |phase| {
+        let _ = tx.send(phase.clone());
+    });
+    rx.recv().expect("the job finishes")
+}
+
 fn answer(submission: Submission) -> Answer {
     let finished = |phase: JobPhase| match phase {
         JobPhase::Done(output) => (200, output.body.to_string(), false),
         JobPhase::Failed(e) => (500, e, false),
-        JobPhase::Queued | JobPhase::Running => unreachable!("wait returns a terminal phase"),
+        JobPhase::Queued | JobPhase::Running => unreachable!("a finished job is terminal"),
     };
     match submission {
         Submission::BadRequest(e) => (400, e, false),
         Submission::BadSpec(e) => (422, e, false),
         Submission::Cached { output, .. } => (200, output.body.to_string(), true),
         Submission::PeerFilled { output, .. } => (200, output.body.to_string(), false),
-        Submission::Joined { job, .. } | Submission::Enqueued { job, .. } => finished(job.wait()),
+        Submission::Joined { job, .. } | Submission::Enqueued { job, .. } => {
+            finished(terminal(&job))
+        }
         Submission::Rejected => (429, String::new(), false),
         Submission::ShuttingDown => (503, String::new(), false),
     }
@@ -222,10 +234,10 @@ proptest! {
         );
 
         twice(&engine, &format!("schedule {what}"), true, valid, || {
-            answer(engine.submit(&problem))
+            answer(engine.submit(RequestKind::Schedule, &problem, &TraceCtx::untraced()).0)
         });
         twice(&engine, &format!("delta {what} {}", EDITS[edits]), true, valid, || {
-            answer(engine.submit_delta(&delta))
+            answer(engine.submit(RequestKind::Delta, &delta, &TraceCtx::untraced()).0)
         });
         twice(&engine, &format!("validate {what}"), false, false, || {
             match engine.validate(&validate) {
